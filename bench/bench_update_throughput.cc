@@ -3,12 +3,12 @@
 // publish regimes at several commit batch sizes.
 //
 //   reweight — weights-only batches: every op retunes an existing edge's
-//              significance. The publish reuses the predecessor's
-//              BicoreDecomposition (offsets are topology-only), so the
-//              epoch cost is the two index rebuilds alone.
+//              significance. The publish shares the predecessor's
+//              decomposition and both indexes (all topology-only), so
+//              the epoch cost is one patched copy of the graph.
 //   churn    — topology batches: every op pair removes an existing edge
-//              and reinserts it. The publish recomputes the
-//              decomposition before rebuilding, the full
+//              and reinserts it. The publish exports the graph and the
+//              decomposition and rebuilds I_δ and I_v, the full
 //              copy-on-write-at-commit price.
 //
 // Each cycle enqueues one batch plus a kCommit and waits for the commit

@@ -293,6 +293,8 @@ UpdateSummary DynamicDeltaIndex::DrainSummary() {
   UpdateSummary out = std::move(summary_);
   summary_ = UpdateSummary{};
   for (VertexId x : out.touched) summary_touched_[x] = 0;
+  for (EdgeId e : summary_reweight_eids_) summary_reweight_slot_[e] = 0;
+  summary_reweight_eids_.clear();
   return out;
 }
 
@@ -381,6 +383,15 @@ Status DynamicDeltaIndex::UpdateWeight(VertexId u, VertexId v, Weight w) {
       edges_[a.eid].w = w;
       ++epoch_;
       summary_.weights_changed = true;
+      summary_reweight_slot_.resize(edges_.size(), 0);
+      uint32_t& slot = summary_reweight_slot_[a.eid];
+      if (slot == 0) {
+        summary_.reweights.push_back(Edge{u, v, w});
+        summary_reweight_eids_.push_back(a.eid);
+        slot = static_cast<uint32_t>(summary_.reweights.size());
+      } else {
+        summary_.reweights[slot - 1].w = w;  // last write wins
+      }
       return Status::OK();
     }
   }

@@ -54,12 +54,18 @@ namespace abcs {
 /// have changed: the update endpoints plus every vertex of every scoped
 /// re-peel. Any vertex absent from `touched` provably kept all its offset
 /// values, hence its community memberships, for every (α,β).
+///
+/// `reweights` lists each edge reweighted since the drain once, as
+/// (upper, lower, final weight) in unified ids — last write wins — so a
+/// weights-only publish can patch the predecessor's weight column without
+/// re-exporting the graph.
 struct UpdateSummary {
   uint64_t epoch = 0;             ///< index epoch at drain time
   bool topology_changed = false;  ///< any insert/remove applied
   bool weights_changed = false;   ///< any weight update applied
   bool delta_changed = false;     ///< δ grew or shrank (global effect)
   std::vector<VertexId> touched;
+  std::vector<Edge> reweights;
 };
 
 class DynamicDeltaIndex {
@@ -161,6 +167,9 @@ class DynamicDeltaIndex {
   uint64_t epoch_ = 0;
   UpdateSummary summary_;                  ///< accumulating, see DrainSummary
   std::vector<uint8_t> summary_touched_;   ///< membership bitmap for dedup
+  /// Per EdgeId: 1 + its slot in `summary_.reweights`, 0 if absent.
+  std::vector<uint32_t> summary_reweight_slot_;
+  std::vector<EdgeId> summary_reweight_eids_;  ///< eid of each slot
 
   // Lent buffers for the per-level scoped recomputes: one update touches
   // up to 2δ levels, and each used to allocate 3×O(n) arrays plus a BFS

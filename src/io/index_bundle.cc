@@ -336,7 +336,7 @@ Status BundleAccess::Save(const BipartiteGraph& g,
     uint64_t bytes;      ///< decoded (in-memory) size
     uint32_t lanes;      ///< u32 columns per element; 0 → never encode
     SectionCodec codec = SectionCodec::kRaw;
-    std::vector<std::byte> encoded;  ///< stored bytes when codec != kRaw
+    std::vector<std::byte> encoded = {};  ///< stored bytes when codec != kRaw
   };
   std::vector<Sec> secs;
   ForEachSection(g, d, di, bi, [&secs](const char* name, const auto& arr) {

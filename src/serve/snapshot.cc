@@ -7,55 +7,63 @@
 
 namespace abcs::serve {
 
-Snapshot::Snapshot(uint64_t epoch, const BipartiteGraph& g,
-                   const DeltaIndex* delta, const BicoreIndex* bicore)
-    : epoch_(epoch),
-      graph_(&g),
-      delta_(delta),
-      bicore_(bicore),
-      online_engine_(g, QueryMethod::kOnline),
-      bicore_engine_(g, QueryMethod::kBicore, nullptr, bicore),
-      delta_engine_(g, QueryMethod::kDelta, delta) {}
+namespace {
+
+/// A non-owning pointer, for state whose owner outlives every pin by
+/// contract (the manager's seed).
+template <typename T>
+std::shared_ptr<const T> Borrow(const T* p) {
+  return std::shared_ptr<const T>(std::shared_ptr<const T>(), p);
+}
+
+/// `prev` with each of `reweights` applied: topology and edge ids are
+/// untouched, so indexes built on `prev`'s topology stay exact.
+BipartiteGraph Reweighted(const BipartiteGraph& prev,
+                          const std::vector<Edge>& reweights) {
+  std::vector<Weight> weights(prev.NumEdges());
+  for (EdgeId e = 0; e < prev.NumEdges(); ++e) weights[e] = prev.GetWeight(e);
+  for (const Edge& r : reweights) {
+    for (const Arc& a : prev.Neighbors(r.u)) {
+      if (a.to == r.v) {
+        weights[a.eid] = r.w;
+        break;
+      }
+    }
+  }
+  return prev.WithWeights(weights);
+}
+
+}  // namespace
 
 Snapshot::Snapshot(uint64_t epoch, std::shared_ptr<const BipartiteGraph> graph,
+                   std::shared_ptr<const BipartiteGraph> index_graph,
                    std::shared_ptr<const BicoreDecomposition> decomp,
                    std::shared_ptr<const DeltaIndex> delta,
                    std::shared_ptr<const BicoreIndex> bicore)
     : epoch_(epoch),
-      owned_graph_(std::move(graph)),
+      graph_(std::move(graph)),
+      index_graph_(std::move(index_graph)),
       decomp_(std::move(decomp)),
-      owned_delta_(std::move(delta)),
-      owned_bicore_(std::move(bicore)),
-      graph_(owned_graph_.get()),
-      delta_(owned_delta_.get()),
-      bicore_(owned_bicore_.get()),
+      delta_(std::move(delta)),
+      bicore_(std::move(bicore)),
       online_engine_(*graph_, QueryMethod::kOnline),
-      bicore_engine_(*graph_, QueryMethod::kBicore, nullptr, bicore_),
-      delta_engine_(*graph_, QueryMethod::kDelta, delta_) {}
-
-Snapshot::Snapshot(uint64_t epoch, std::shared_ptr<const void> keepalive,
-                   const BipartiteGraph& g, const DeltaIndex* delta,
-                   const BicoreIndex* bicore)
-    : epoch_(epoch),
-      keepalive_(std::move(keepalive)),
-      graph_(&g),
-      delta_(delta),
-      bicore_(bicore),
-      online_engine_(g, QueryMethod::kOnline),
-      bicore_engine_(g, QueryMethod::kBicore, nullptr, bicore),
-      delta_engine_(g, QueryMethod::kDelta, delta) {}
+      bicore_engine_(*graph_, QueryMethod::kBicore, nullptr, bicore_.get()),
+      delta_engine_(*graph_, QueryMethod::kDelta, delta_.get()) {}
 
 SnapshotManager::SnapshotManager(const BipartiteGraph& g,
                                  const DeltaIndex* delta,
                                  const BicoreIndex* bicore,
                                  const BicoreDecomposition* decomp,
                                  SnapshotManagerOptions options)
-    : seed_graph_(&g),
-      seed_delta_(delta),
-      seed_bicore_(bicore),
-      seed_decomp_(decomp),
-      options_(std::move(options)) {
-  current_ = std::make_shared<const Snapshot>(1, g, delta, bicore);
+    : options_(std::move(options)),
+      last_graph_(Borrow(&g)),
+      index_graph_(last_graph_),
+      last_decomp_(Borrow(decomp)),
+      last_delta_(Borrow(delta)),
+      last_bicore_(Borrow(bicore)) {
+  current_ = std::make_shared<const Snapshot>(1, last_graph_, index_graph_,
+                                              nullptr, last_delta_,
+                                              last_bicore_);
 }
 
 SnapshotManager::~SnapshotManager() { Drain(); }
@@ -69,7 +77,7 @@ Status SnapshotManager::Start() {
   // The one O(n·δ + m) fork of the served state into the writer's mutable
   // copy; with a decomposition in hand (the bundle restart path) this is
   // copies only, no peels.
-  dyn_ = std::make_unique<DynamicDeltaIndex>(*seed_graph_, seed_decomp_);
+  dyn_ = std::make_unique<DynamicDeltaIndex>(*last_graph_, last_decomp_.get());
   started_ = true;
   writer_ = std::thread(&SnapshotManager::WriterLoop, this);
   return Status::OK();
@@ -116,14 +124,25 @@ uint64_t SnapshotManager::PublishRecovery(std::shared_ptr<const void> keepalive,
                                           const DeltaIndex* delta,
                                           const BicoreIndex* bicore) {
   const uint64_t epoch = Epoch() + 1;
-  auto snap = std::make_shared<const Snapshot>(epoch, std::move(keepalive), g,
-                                               delta, bicore);
+  auto graph = std::shared_ptr<const BipartiteGraph>(keepalive, &g);
+  Install(std::make_shared<const Snapshot>(
+              epoch, graph, graph, nullptr,
+              std::shared_ptr<const DeltaIndex>(keepalive, delta),
+              std::shared_ptr<const BicoreIndex>(keepalive, bicore)),
+          epoch);
+  return epoch;
+}
+
+void SnapshotManager::Install(std::shared_ptr<const Snapshot> snap,
+                              uint64_t epoch) {
   {
     std::lock_guard<std::mutex> lock(current_mu_);
-    current_ = std::move(snap);
+    current_.swap(snap);
   }
   epoch_.store(epoch, std::memory_order_release);
-  return epoch;
+  // `snap` now holds the replaced epoch: if no reader pins it, its arrays
+  // free here, with admissions already running against the successor.
+  snap.reset();
 }
 
 UpdateStats SnapshotManager::Stats() const {
@@ -203,29 +222,39 @@ void SnapshotManager::Apply(PendingOp& op) {
 
 uint64_t SnapshotManager::Publish() {
   UpdateSummary summary = dyn_->DrainSummary();
-  auto graph = std::make_shared<const BipartiteGraph>(dyn_->ExportGraph());
-  // Structural sharing: offsets are topology-only, so a weights-only batch
-  // republishes the previous decomposition untouched.
-  std::shared_ptr<const BicoreDecomposition> decomp;
-  const bool topology =
-      summary.topology_changed || summary.delta_changed || !last_decomp_;
-  if (topology) {
-    decomp = std::make_shared<const BicoreDecomposition>(
-        dyn_->ExportDecomposition());
+  if (summary.topology_changed || summary.delta_changed) {
+    // Topology batch: a fresh graph, decomposition and both indexes.
+    last_graph_ = std::make_shared<const BipartiteGraph>(dyn_->ExportGraph());
+    index_graph_ = last_graph_;
+    last_decomp_.reset();
+    last_delta_.reset();
+    last_bicore_.reset();
   } else {
-    decomp = last_decomp_;
+    // Weights-only batch: the predecessor's topology with the batch's
+    // reweights patched in; decomposition and indexes are shared.
+    last_graph_ = std::make_shared<const BipartiteGraph>(
+        Reweighted(*last_graph_, summary.reweights));
   }
-  last_decomp_ = decomp;
-  auto delta = std::make_shared<const DeltaIndex>(
-      DeltaIndex::Build(*graph, decomp.get(), options_.publish_threads));
-  auto bicore = std::make_shared<const BicoreIndex>(
-      BicoreIndex::Build(*graph, decomp.get(), options_.publish_threads));
+  // Built after a topology batch, and on the first weights-only batch
+  // over a seed that came without them (offsets are topology-only, so the
+  // maintained ones match `index_graph_` either way).
+  if (!last_decomp_) {
+    last_decomp_ = std::make_shared<const BicoreDecomposition>(
+        dyn_->ExportDecomposition());
+  }
+  if (!last_delta_) {
+    last_delta_ = std::make_shared<const DeltaIndex>(DeltaIndex::Build(
+        *index_graph_, last_decomp_.get(), options_.publish_threads));
+  }
+  if (!last_bicore_) {
+    last_bicore_ = std::make_shared<const BicoreIndex>(BicoreIndex::Build(
+        *index_graph_, last_decomp_.get(), options_.publish_threads));
+  }
 
   const uint64_t epoch = Epoch() + 1;
-  auto snap = std::make_shared<const Snapshot>(epoch, std::move(graph),
-                                               std::move(decomp),
-                                               std::move(delta),
-                                               std::move(bicore));
+  auto snap = std::make_shared<const Snapshot>(epoch, last_graph_,
+                                               index_graph_, last_decomp_,
+                                               last_delta_, last_bicore_);
 
   // One-hop expansion in the NEW graph: a vertex can join a community
   // whose members' own offsets never changed; the member it attaches to
@@ -243,11 +272,7 @@ uint64_t SnapshotManager::Publish() {
   // Memo invalidation runs before the swap; epoch-gated lookups make
   // either order safe, this one just minimises the stale-miss window.
   if (publish_hook_) publish_hook_(*snap, summary, touched);
-  {
-    std::lock_guard<std::mutex> lock(current_mu_);
-    current_ = std::move(snap);
-  }
-  epoch_.store(epoch, std::memory_order_release);
+  Install(std::move(snap), epoch);
   counters_.commits.fetch_add(1, std::memory_order_relaxed);
   ops_since_publish_ = 0;
   dirty_since_compact_ = true;

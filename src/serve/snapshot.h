@@ -33,39 +33,39 @@ namespace abcs::serve {
 /// reference; the snapshot retires (frees) exactly when the last pinned
 /// reader releases it — never while pinned, never needing a grace period.
 ///
-/// Structural sharing: a weights-only batch publishes a snapshot that
-/// reuses the predecessor's `BicoreDecomposition` (offsets are
-/// topology-only), so the expensive part of the chain is copy-on-write at
-/// commit granularity.
+/// Structural sharing: I_δ entries `{to, eid, offset}`, I_v entries
+/// `{v, offset}` and the decomposition depend on topology and offsets
+/// only, never on weights. A weights-only commit therefore publishes a new
+/// graph (the predecessor's topology and edge ids with a patched weight
+/// column) beside the *same* decomposition and index objects. The indexes
+/// read topology through the graph they were built on, so a snapshot also
+/// holds that `index_graph` alive; it is the snapshot's own graph after a
+/// topology commit and the last topology commit's graph otherwise — at
+/// most one extra graph per epoch, never a chain of predecessors.
+///
+/// Every member is a `shared_ptr`. State owned elsewhere comes in as
+/// aliasing pointers: with an empty owner for the daemon's startup graph
+/// and indexes (which outlive every pin by contract), or with a recovered
+/// bundle as owner, which stays mapped until the last pin drops.
 class Snapshot {
  public:
-  /// Borrowed form — the static-serving epoch 1. Caller guarantees the
-  /// graph and indexes outlive every pin (the daemon's startup state).
-  Snapshot(uint64_t epoch, const BipartiteGraph& g, const DeltaIndex* delta,
-           const BicoreIndex* bicore);
-
-  /// Owned form — published by the writer; members keep each other alive
-  /// (`delta`/`bicore` were built against `*graph`).
+  /// `delta`/`bicore` were built against `index_graph`, which must have
+  /// `graph`'s topology and edge ids. `decomp` may be null (compaction
+  /// then skips this epoch).
   Snapshot(uint64_t epoch, std::shared_ptr<const BipartiteGraph> graph,
+           std::shared_ptr<const BipartiteGraph> index_graph,
            std::shared_ptr<const BicoreDecomposition> decomp,
            std::shared_ptr<const DeltaIndex> delta,
            std::shared_ptr<const BicoreIndex> bicore);
-
-  /// Keepalive form — borrowed serving pointers whose backing storage is a
-  /// type-erased owner (the scrubber's recovered `IndexBundle`): the bundle
-  /// stays mapped until the last pinned reader releases this epoch.
-  Snapshot(uint64_t epoch, std::shared_ptr<const void> keepalive,
-           const BipartiteGraph& g, const DeltaIndex* delta,
-           const BicoreIndex* bicore);
 
   Snapshot(const Snapshot&) = delete;
   Snapshot& operator=(const Snapshot&) = delete;
 
   uint64_t epoch() const { return epoch_; }
   const BipartiteGraph& graph() const { return *graph_; }
-  const DeltaIndex* delta_index() const { return delta_; }
-  const BicoreIndex* bicore_index() const { return bicore_; }
-  /// Non-null only for owned snapshots (compaction's input).
+  const DeltaIndex* delta_index() const { return delta_.get(); }
+  const BicoreIndex* bicore_index() const { return bicore_.get(); }
+  /// Null for the startup and recovered epochs (compaction's input).
   const BicoreDecomposition* decomposition() const { return decomp_.get(); }
 
   const QueryEngine& online_engine() const { return online_engine_; }
@@ -74,16 +74,11 @@ class Snapshot {
 
  private:
   uint64_t epoch_;
-  // Keep-alives (null in the borrowed form).
-  std::shared_ptr<const void> keepalive_;  ///< recovered-bundle owner
-  std::shared_ptr<const BipartiteGraph> owned_graph_;
+  std::shared_ptr<const BipartiteGraph> graph_;
+  std::shared_ptr<const BipartiteGraph> index_graph_;  ///< keepalive only
   std::shared_ptr<const BicoreDecomposition> decomp_;
-  std::shared_ptr<const DeltaIndex> owned_delta_;
-  std::shared_ptr<const BicoreIndex> owned_bicore_;
-  // Serving pointers, valid in both forms.
-  const BipartiteGraph* graph_;
-  const DeltaIndex* delta_;
-  const BicoreIndex* bicore_;
+  std::shared_ptr<const DeltaIndex> delta_;
+  std::shared_ptr<const BicoreIndex> bicore_;
   QueryEngine online_engine_;
   QueryEngine bicore_engine_;
   QueryEngine delta_engine_;
@@ -138,9 +133,11 @@ class SnapshotManager {
   using PublishHook = std::function<void(
       const Snapshot&, const UpdateSummary&, const std::vector<uint8_t>&)>;
 
-  /// Seeds epoch 1 as a borrowed snapshot of `g` + indexes (all must
-  /// outlive the manager). `decomp`, when non-null, seeds the writer's
-  /// DynamicDeltaIndex without re-peeling (the bundle restart path).
+  /// Seeds epoch 1 as a borrowed snapshot of `g` + indexes. All must
+  /// outlive the manager and every snapshot pinned from it: weights-only
+  /// epochs keep serving the seed indexes until the first topology commit.
+  /// `decomp`, when non-null, seeds the writer's DynamicDeltaIndex without
+  /// re-peeling (the bundle restart path) and is shared the same way.
   SnapshotManager(const BipartiteGraph& g, const DeltaIndex* delta,
                   const BicoreIndex* bicore, const BicoreDecomposition* decomp,
                   SnapshotManagerOptions options);
@@ -196,22 +193,30 @@ class SnapshotManager {
   void WriterLoop();
   void Apply(PendingOp& op);
   /// Builds + publishes a new snapshot from the writer state; returns its
-  /// epoch.
+  /// epoch. A topology batch re-exports the graph and rebuilds the
+  /// decomposition and both indexes; a weights-only batch patches the
+  /// predecessor's weight column and shares everything else.
   uint64_t Publish();
+  /// Swaps `snap` in as Current and frees the replaced epoch (if
+  /// unpinned) after the admission lock is released.
+  void Install(std::shared_ptr<const Snapshot> snap, uint64_t epoch);
   void MaybeCompact(bool at_drain);
 
-  const BipartiteGraph* seed_graph_;
-  const DeltaIndex* seed_delta_;
-  const BicoreIndex* seed_bicore_;
-  const BicoreDecomposition* seed_decomp_;
   const SnapshotManagerOptions options_;
   PublishHook publish_hook_;
 
   std::unique_ptr<DynamicDeltaIndex> dyn_;  ///< writer thread only
-  std::shared_ptr<const BicoreDecomposition> last_decomp_;  ///< ditto
-  uint64_t ops_since_publish_ = 0;                          ///< ditto
-  uint64_t commits_since_compact_ = 0;                      ///< ditto
-  bool dirty_since_compact_ = false;                        ///< ditto
+  // The state a weights-only publish shares, seeded with the borrowed
+  // seed (a null index or decomposition is built on first use). Writer
+  // thread only once started, like everything down to the mutex.
+  std::shared_ptr<const BipartiteGraph> last_graph_;  ///< newest published
+  std::shared_ptr<const BipartiteGraph> index_graph_;  ///< indexes' build
+  std::shared_ptr<const BicoreDecomposition> last_decomp_;
+  std::shared_ptr<const DeltaIndex> last_delta_;
+  std::shared_ptr<const BicoreIndex> last_bicore_;
+  uint64_t ops_since_publish_ = 0;
+  uint64_t commits_since_compact_ = 0;
+  bool dirty_since_compact_ = false;
 
   mutable std::mutex current_mu_;
   std::shared_ptr<const Snapshot> current_;  ///< guarded by current_mu_

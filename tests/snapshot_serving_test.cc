@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -21,6 +22,7 @@
 #include "core/bicore_index.h"
 #include "core/delta_index.h"
 #include "core/maintenance.h"
+#include "core/scs_auto.h"
 #include "io/index_bundle.h"
 #include "serve/client.h"
 #include "serve/server.h"
@@ -31,6 +33,7 @@ namespace abcs::serve {
 namespace {
 
 using ::abcs::testing::MakeGraph;
+using ::abcs::testing::RandomWeightedGraph;
 
 // K_{3,3} (upper 0-2 x lower 0-2) plus `spares` two-vertex components
 // u_{3+k} — v_{3+k}. Inserting (u_{3+k}, v_0) merges spare k into the big
@@ -45,6 +48,19 @@ BipartiteGraph StressGraph(uint32_t spares) {
     triples.emplace_back(3 + k, 3 + k, 1.0);
   }
   return MakeGraph(triples);
+}
+
+// Blocking op: returns the wire status the writer answered.
+WireStatus ApplyOp(SnapshotManager& manager, UpdateOp op, uint32_t u,
+                   uint32_t v, double w, uint64_t* epoch = nullptr) {
+  std::promise<std::pair<WireStatus, uint64_t>> done;
+  auto fut = done.get_future();
+  manager.Enqueue(op, u, v, w, [&done](WireStatus ws, uint64_t e) {
+    done.set_value({ws, e});
+  });
+  const auto [ws, e] = fut.get();
+  if (epoch != nullptr) *epoch = e;
+  return ws;
 }
 
 struct ManagerHarness {
@@ -62,19 +78,30 @@ struct ManagerHarness {
                                                 nullptr, options);
   }
 
-  // Blocking op: returns the wire status the writer answered.
   WireStatus Apply(UpdateOp op, uint32_t u, uint32_t v, double w,
                    uint64_t* epoch = nullptr) {
-    std::promise<std::pair<WireStatus, uint64_t>> done;
-    auto fut = done.get_future();
-    manager->Enqueue(op, u, v, w, [&done](WireStatus ws, uint64_t e) {
-      done.set_value({ws, e});
-    });
-    const auto [ws, e] = fut.get();
-    if (epoch != nullptr) *epoch = e;
-    return ws;
+    return ApplyOp(*manager, op, u, v, w, epoch);
   }
 };
+
+// The edges `eids` of `g` as sorted (u, v, w) triples: comparable across
+// graphs whose edge ids differ.
+std::vector<Edge> Canonical(const BipartiteGraph& g,
+                            const std::vector<EdgeId>& eids) {
+  std::vector<Edge> out;
+  out.reserve(eids.size());
+  for (const EdgeId e : eids) out.push_back(g.GetEdge(e));
+  std::sort(out.begin(), out.end(), [](const Edge& a, const Edge& b) {
+    return std::tie(a.u, a.v, a.w) < std::tie(b.u, b.v, b.w);
+  });
+  return out;
+}
+
+std::vector<Edge> Canonical(const BipartiteGraph& g) {
+  std::vector<EdgeId> all(g.NumEdges());
+  for (EdgeId e = 0; e < g.NumEdges(); ++e) all[e] = e;
+  return Canonical(g, all);
+}
 
 TEST(SnapshotManagerTest, CommitPublishesAndPinsRetireSafely) {
   ManagerHarness h(StressGraph(4));
@@ -135,26 +162,251 @@ TEST(SnapshotManagerTest, WeightsOnlyPublishSharesDecomposition) {
   ManagerHarness h(StressGraph(2));
   ASSERT_TRUE(h.manager->Start().ok());
 
-  // First publish is topological by construction (no prior export).
+  // The first weights-only publish shares the seed indexes; the seed came
+  // without a decomposition, so it is exported once.
   ASSERT_EQ(h.Apply(UpdateOp::kReweightEdge, 0, 0, 7.5), WireStatus::kOk);
   ASSERT_EQ(h.Apply(UpdateOp::kCommit, 0, 0, 0.0), WireStatus::kOk);
   const std::shared_ptr<const Snapshot> snap2 = h.manager->Current();
   ASSERT_NE(snap2->decomposition(), nullptr);
+  EXPECT_EQ(snap2->delta_index(), &h.delta);
+  EXPECT_EQ(snap2->bicore_index(), &h.bicore);
+  EXPECT_NE(&snap2->graph(), &h.graph);
 
-  // A weights-only batch must reuse the predecessor's decomposition
-  // object — structural sharing, not a rebuild.
+  // A weights-only batch must reuse the predecessor's decomposition and
+  // index objects — structural sharing, not a rebuild.
   ASSERT_EQ(h.Apply(UpdateOp::kReweightEdge, 0, 1, 3.25), WireStatus::kOk);
   ASSERT_EQ(h.Apply(UpdateOp::kCommit, 0, 0, 0.0), WireStatus::kOk);
   const std::shared_ptr<const Snapshot> snap3 = h.manager->Current();
   EXPECT_EQ(snap3->decomposition(), snap2->decomposition());
+  EXPECT_EQ(snap3->delta_index(), snap2->delta_index());
+  EXPECT_EQ(snap3->bicore_index(), snap2->bicore_index());
+  EXPECT_NE(&snap3->graph(), &snap2->graph());
+  // Only the weight column moved; both reweights are visible.
+  EXPECT_EQ(snap3->graph().NumEdges(), h.graph.NumEdges());
+  double w00 = 0, w01 = 0;
+  for (const Arc& a : snap3->graph().Neighbors(0)) {
+    if (a.to == h.graph.LowerId(0)) w00 = snap3->graph().GetWeight(a.eid);
+    if (a.to == h.graph.LowerId(1)) w01 = snap3->graph().GetWeight(a.eid);
+  }
+  EXPECT_EQ(w00, 7.5);
+  EXPECT_EQ(w01, 3.25);
 
-  // A topological batch gets a fresh one, equal to a from-scratch peel.
+  // A topological batch gets fresh ones, equal to from-scratch builds.
   ASSERT_EQ(h.Apply(UpdateOp::kInsertEdge, 3, 0, 1.0), WireStatus::kOk);
   ASSERT_EQ(h.Apply(UpdateOp::kCommit, 0, 0, 0.0), WireStatus::kOk);
   const std::shared_ptr<const Snapshot> snap4 = h.manager->Current();
   EXPECT_NE(snap4->decomposition(), snap3->decomposition());
+  EXPECT_NE(snap4->delta_index(), snap3->delta_index());
+  EXPECT_NE(snap4->bicore_index(), snap3->bicore_index());
   EXPECT_EQ(*snap4->decomposition(),
             ComputeBicoreDecomposition(snap4->graph()));
+
+  // ...which the next weights-only batch shares in turn.
+  ASSERT_EQ(h.Apply(UpdateOp::kReweightEdge, 3, 0, 2.0), WireStatus::kOk);
+  ASSERT_EQ(h.Apply(UpdateOp::kCommit, 0, 0, 0.0), WireStatus::kOk);
+  const std::shared_ptr<const Snapshot> snap5 = h.manager->Current();
+  EXPECT_EQ(snap5->decomposition(), snap4->decomposition());
+  EXPECT_EQ(snap5->delta_index(), snap4->delta_index());
+  EXPECT_EQ(snap5->bicore_index(), snap4->bicore_index());
+}
+
+// Differential chain: random reweight batches interleaved with
+// insert/remove batches. After every commit the served answers — all
+// three retrieval paths and every SCS kernel — must equal a fresh build
+// over the exported graph, so a snapshot that reads stale weights (or a
+// shared index that drifted from its graph) fails here.
+TEST(SnapshotManagerTest, CommitChainMatchesFreshRebuild) {
+  constexpr uint32_t kUpper = 30;
+  constexpr uint32_t kLower = 30;
+  ManagerHarness h(RandomWeightedGraph(kUpper, kLower, 220, /*seed=*/7));
+  ASSERT_TRUE(h.manager->Start().ok());
+  DynamicDeltaIndex ref(h.graph);  // the oracle's independent writer
+  Rng rng(20261019);
+
+  const auto apply_both = [&](UpdateOp op, uint32_t u, uint32_t v, double w) {
+    Status st;
+    const VertexId lower = kUpper + v;
+    switch (op) {
+      case UpdateOp::kInsertEdge:
+        st = ref.InsertEdge(u, lower, w);
+        break;
+      case UpdateOp::kRemoveEdge:
+        st = ref.RemoveEdge(u, lower);
+        break;
+      default:
+        st = ref.UpdateWeight(u, lower, w);
+        break;
+    }
+    EXPECT_EQ(h.Apply(op, u, v, w),
+              st.ok() ? WireStatus::kOk : WireStatus::kConflict);
+  };
+
+  QueryScratch scratch;
+  Subgraph got;
+  uint64_t reweight_commits = 0;
+  for (uint32_t commit = 0; commit < 24; ++commit) {
+    const BipartiteGraph before = ref.ExportGraph();
+    const bool topology = commit % 3 == 2;
+    const uint32_t ops = 1 + static_cast<uint32_t>(rng.NextBounded(6));
+    for (uint32_t i = 0; i < ops; ++i) {
+      const Edge& e = before.GetEdge(
+          static_cast<EdgeId>(rng.NextBounded(before.NumEdges())));
+      const uint32_t u = e.u;
+      const uint32_t v = e.v - kUpper;
+      const double w = 1.0 + static_cast<double>(rng.NextBounded(8));
+      if (!topology) {
+        apply_both(UpdateOp::kReweightEdge, u, v, w);
+        // Re-reweighting an edge within a batch: the last write wins.
+        if (i == 0) apply_both(UpdateOp::kReweightEdge, u, v, w + 0.5);
+      } else if (rng.NextBounded(2) == 0) {
+        apply_both(UpdateOp::kRemoveEdge, u, v, 0.0);
+      } else {
+        apply_both(UpdateOp::kInsertEdge,
+                   static_cast<uint32_t>(rng.NextBounded(kUpper)),
+                   static_cast<uint32_t>(rng.NextBounded(kLower)), w);
+      }
+    }
+    const std::shared_ptr<const Snapshot> prev = h.manager->Current();
+    ASSERT_EQ(h.Apply(UpdateOp::kCommit, 0, 0, 0.0), WireStatus::kOk);
+    const std::shared_ptr<const Snapshot> snap = h.manager->Current();
+    if (snap->epoch() == prev->epoch()) continue;  // every op conflicted
+    if (snap->delta_index() == prev->delta_index()) ++reweight_commits;
+
+    const BipartiteGraph ref_g = ref.ExportGraph();
+    const DeltaIndex ref_delta = DeltaIndex::Build(ref_g);
+    ASSERT_EQ(Canonical(snap->graph()), Canonical(ref_g))
+        << "commit " << commit;
+    for (uint32_t sample = 0; sample < 25; ++sample) {
+      const VertexId q =
+          static_cast<VertexId>(rng.NextBounded(ref_g.NumVertices()));
+      const uint32_t alpha = 1 + static_cast<uint32_t>(rng.NextBounded(4));
+      const uint32_t beta = 1 + static_cast<uint32_t>(rng.NextBounded(4));
+      const Subgraph want = ref_delta.QueryCommunity(q, alpha, beta);
+      const std::vector<Edge> want_edges = Canonical(ref_g, want.edges);
+      for (const QueryEngine* engine :
+           {&snap->delta_engine(), &snap->bicore_engine(),
+            &snap->online_engine()}) {
+        engine->Query(QueryRequest{q, alpha, beta}, scratch, &got);
+        ASSERT_EQ(Canonical(snap->graph(), got.edges), want_edges)
+            << "commit " << commit << " q=" << q << " (" << alpha << ","
+            << beta << ")";
+      }
+      snap->delta_engine().Query(QueryRequest{q, alpha, beta}, scratch, &got);
+      for (const ScsAlgo algo : {ScsAlgo::kAuto, ScsAlgo::kPeel,
+                                 ScsAlgo::kExpand, ScsAlgo::kBinary}) {
+        const ScsResult fresh = ScsQuery(ref_g, want, q, alpha, beta, algo);
+        const ScsResult served =
+            ScsQuery(snap->graph(), got, q, alpha, beta, algo);
+        ASSERT_EQ(served.found, fresh.found) << ScsAlgoName(algo);
+        ASSERT_EQ(served.community.Size(), fresh.community.Size())
+            << ScsAlgoName(algo) << " commit " << commit << " q=" << q;
+        ASSERT_EQ(served.significance, fresh.significance)
+            << ScsAlgoName(algo) << " commit " << commit << " q=" << q;
+      }
+    }
+  }
+  EXPECT_GE(reweight_commits, 10u) << "the chain must exercise sharing";
+}
+
+// Sharing never chains epochs: an unpinned snapshot retires at the next
+// publish even when its successor shares its indexes, while a pinned one
+// survives any number of later commits.
+TEST(SnapshotManagerTest, WeightsOnlyCommitsRetireUnpinnedEpochs) {
+  ManagerHarness h(StressGraph(2));
+  ASSERT_TRUE(h.manager->Start().ok());
+  ASSERT_EQ(h.Apply(UpdateOp::kReweightEdge, 0, 0, 2.0), WireStatus::kOk);
+  ASSERT_EQ(h.Apply(UpdateOp::kCommit, 0, 0, 0.0), WireStatus::kOk);
+  const std::weak_ptr<const Snapshot> early = h.manager->Current();
+  std::shared_ptr<const Snapshot> pinned;
+  for (uint32_t k = 0; k < 4; ++k) {
+    ASSERT_EQ(h.Apply(UpdateOp::kReweightEdge, 0, 1, 3.0 + k),
+              WireStatus::kOk);
+    ASSERT_EQ(h.Apply(UpdateOp::kCommit, 0, 0, 0.0), WireStatus::kOk);
+    EXPECT_TRUE(early.expired()) << "after commit " << k;
+    if (k == 0) pinned = h.manager->Current();
+  }
+  ASSERT_EQ(pinned->epoch(), 3u);
+  ASSERT_EQ(h.manager->Epoch(), 6u);
+  for (const Arc& a : pinned->graph().Neighbors(0)) {
+    if (a.to == h.graph.LowerId(1)) {
+      EXPECT_EQ(pinned->graph().GetWeight(a.eid), 3.0);
+    }
+  }
+  QueryScratch scratch;
+  Subgraph community;
+  pinned->delta_engine().Query(QueryRequest{0, 1, 1}, scratch, &community);
+  EXPECT_EQ(community.edges.size(), 9u);
+}
+
+// The restart path: a manager seeded from an opened bundle shares the
+// bundle's mapped indexes and decomposition on its first weights-only
+// commit, never writes through the mapping, and compacts a bundle that
+// reopens with bit-identical answers.
+TEST(SnapshotManagerTest, BundleSeededWeightsOnlyCommitSharesSeed) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "abcs_snapshot_seeded_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string bundle_path = (dir / "serve.abcs").string();
+  {
+    const BipartiteGraph g = RandomWeightedGraph(25, 25, 160, /*seed=*/3);
+    const BicoreDecomposition decomp = ComputeBicoreDecomposition(g);
+    ASSERT_TRUE(SaveIndexBundle(g, decomp, DeltaIndex::Build(g, &decomp),
+                                BicoreIndex::Build(g, &decomp), bundle_path)
+                    .ok());
+  }
+  std::unique_ptr<IndexBundle> seed;
+  ASSERT_TRUE(OpenIndexBundle(bundle_path, &seed).ok());
+  const BipartiteGraph& g = seed->graph();
+
+  SnapshotManagerOptions options;
+  options.compact_path = bundle_path;
+  options.compact_every = 1;
+  SnapshotManager manager(g, &seed->delta_index(), &seed->bicore_index(),
+                          &seed->decomposition(), options);
+  ASSERT_TRUE(manager.Start().ok());
+
+  const Edge target = g.GetEdge(0);
+  const Weight old_weight = target.w;
+  const uint32_t v = target.v - g.NumUpper();
+  ASSERT_EQ(ApplyOp(manager, UpdateOp::kReweightEdge, target.u, v, 99.0),
+            WireStatus::kOk);
+  uint64_t epoch = 0;
+  ASSERT_EQ(ApplyOp(manager, UpdateOp::kCommit, 0, 0, 0.0, &epoch),
+            WireStatus::kOk);
+  ASSERT_EQ(epoch, 2u);
+  EXPECT_EQ(manager.Stats().compactions, 1u);
+
+  const std::shared_ptr<const Snapshot> snap = manager.Current();
+  EXPECT_EQ(snap->delta_index(), &seed->delta_index());
+  EXPECT_EQ(snap->bicore_index(), &seed->bicore_index());
+  EXPECT_EQ(snap->decomposition(), &seed->decomposition());
+  EXPECT_EQ(snap->graph().GetWeight(0), 99.0);
+  EXPECT_EQ(g.GetWeight(0), old_weight) << "wrote through the mapping";
+
+  std::unique_ptr<IndexBundle> reopened;
+  ASSERT_TRUE(OpenIndexBundle(bundle_path, &reopened).ok());
+  ASSERT_TRUE(VerifyBundleMatchesGraph(*reopened, snap->graph()).ok());
+  EXPECT_TRUE(reopened->graph().Edges() == snap->graph().Edges());
+  EXPECT_EQ(reopened->decomposition(), seed->decomposition());
+  const QueryEngine from_disk(reopened->graph(), QueryMethod::kDelta,
+                              &reopened->delta_index());
+  QueryScratch scratch;
+  Subgraph served, restored;
+  for (VertexId q = 0; q < g.NumVertices(); q += 3) {
+    for (const uint32_t ab : {1u, 2u, 3u}) {
+      snap->delta_engine().Query(QueryRequest{q, ab, ab}, scratch, &served);
+      from_disk.Query(QueryRequest{q, ab, ab}, scratch, &restored);
+      ASSERT_EQ(restored.edges, served.edges) << "q=" << q;
+      const ScsResult a = ScsQuery(snap->graph(), served, q, ab, ab);
+      const ScsResult b = ScsQuery(reopened->graph(), restored, q, ab, ab);
+      ASSERT_EQ(b.found, a.found);
+      ASSERT_EQ(b.community.edges, a.community.edges);
+      ASSERT_EQ(b.significance, a.significance);
+    }
+  }
+  manager.Drain();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SnapshotManagerTest, DrainPublishesUncommittedTail) {
@@ -461,18 +713,30 @@ TEST(DynamicDeltaIndexTest, EpochAndSummaryTrackMutations) {
   for (const VertexId x : summary.touched) touched[x] = 1;
   EXPECT_TRUE(touched[3]);
   EXPECT_TRUE(touched[g.NumUpper() + 0]);
+  EXPECT_EQ(summary.reweights,
+            (std::vector<Edge>{Edge{0, g.NumUpper() + 0, 4.5}}));
 
   // Drained: the next summary starts clean.
   summary = dyn.DrainSummary();
   EXPECT_FALSE(summary.topology_changed);
   EXPECT_FALSE(summary.weights_changed);
   EXPECT_TRUE(summary.touched.empty());
+  EXPECT_TRUE(summary.reweights.empty());
 
-  // Weights-only mutation reports weights_changed but not topology.
+  // Weights-only mutation reports weights_changed but not topology, and
+  // lists each reweighted edge once with its last weight.
   ASSERT_TRUE(dyn.UpdateWeight(0, g.NumUpper() + 1, 2.25).ok());
+  ASSERT_TRUE(dyn.UpdateWeight(1, g.NumUpper() + 1, 6.0).ok());
+  ASSERT_TRUE(dyn.UpdateWeight(0, g.NumUpper() + 1, 3.0).ok());
   summary = dyn.DrainSummary();
   EXPECT_FALSE(summary.topology_changed);
   EXPECT_TRUE(summary.weights_changed);
+  EXPECT_EQ(summary.reweights,
+            (std::vector<Edge>{Edge{0, g.NumUpper() + 1, 3.0},
+                               Edge{1, g.NumUpper() + 1, 6.0}}));
+  ASSERT_TRUE(dyn.UpdateWeight(0, g.NumUpper() + 1, 2.25).ok());
+  EXPECT_EQ(dyn.DrainSummary().reweights.size(), 1u)
+      << "a drained edge must be listed again";
 
   // The exported graph carries the reweights.
   const BipartiteGraph out = dyn.ExportGraph();
