@@ -203,7 +203,12 @@ void Server::Shutdown() {
   if (!started_ || stopped_) return;
   stopped_ = true;
   // 1. Refuse new work: no new connections, readers answer kShuttingDown.
+  //    Fast drain starts here too: the backlog admitted before this point
+  //    is what it answers kDeadlineExceeded, not whatever is left after
+  //    the joins below (the accept thread alone may sit out a 100 ms
+  //    poll).
   draining_.store(true);
+  if (options_.fast_drain) fast_drain_.store(true);
   accepting_.store(false);
   if (accept_thread_.joinable()) accept_thread_.join();
   // 2. Half-close every read side; blocked recv()s wake with EOF and the
@@ -226,7 +231,6 @@ void Server::Shutdown() {
   //    fast_drain the backlog is answered kDeadlineExceeded instead —
   //    every admitted request still gets *a* response, just not a
   //    computed one.
-  if (options_.fast_drain) fast_drain_.store(true);
   counters_.drained_tasks.store(scheduler_.Pending());
   scheduler_.Close();
   for (std::thread& w : workers_) {
