@@ -8,8 +8,8 @@
 //              the epoch cost is one patched copy of the graph.
 //   churn    — topology batches: every op pair removes an existing edge
 //              and reinserts it. The publish exports the graph and the
-//              decomposition and rebuilds I_δ and I_v, the full
-//              copy-on-write-at-commit price.
+//              decomposition, splices I_δ from its predecessor (copying
+//              the rows whose inputs did not change) and rebuilds I_v.
 //
 // Each cycle enqueues one batch plus a kCommit and waits for the commit
 // callback, so the measured commit latency is exactly what a client sees

@@ -4,46 +4,59 @@
 
 namespace abcs {
 
-/// Builds one side arena from the matching decomposition arena,
-/// output-sensitively: vertex v contributes exactly its Levels(v) nonzero
-/// offsets, so the fill is Σ_v Levels(v) = |entries| — no δ·n sweep over
-/// levels where v has offset 0.
+/// Builds one side arena from the matching decomposition arena with one
+/// counting sort: each list τ is a run of buckets, one per offset from
+/// the level's largest down to 0, filled in increasing v — the lists'
+/// (offset desc, v asc) order with no comparison sort. Three sweeps over
+/// the Σ_v Levels(v) stored offsets (level maxima, counts, fill) plus the
+/// bucket table, Σ_τ (max offset at τ + 1) ≤ δ·(max degree + 1) counters.
 void BicoreIndex::BuildSide(const OffsetArena& offsets, uint32_t delta,
                             SideArena* side) {
   const uint32_t n =
       static_cast<uint32_t>(offsets.start.empty() ? 0
                                                   : offsets.start.size() - 1);
-  // |List(τ)| = #{v : Levels(v) ≥ τ}, via a histogram of slice lengths.
-  std::vector<uint32_t> hist(delta + 2, 0);
-  for (VertexId v = 0; v < n; ++v) ++hist[offsets.Levels(v)];
-  std::vector<uint32_t>& start = side->start.Mutable();
-  std::vector<Entry>& entries = side->entries.Mutable();
-  start.assign(delta + 1, 0);
-  uint32_t count_ge = 0;
-  for (uint32_t tau = delta; tau >= 1; --tau) {
-    count_ge += hist[tau];
-    start[tau] = count_ge;  // holds |List(τ)| for now
-  }
-  for (uint32_t tau = 1; tau <= delta; ++tau) {
-    start[tau] += start[tau - 1];
-  }
-  entries.resize(start[delta]);
-
-  std::vector<uint32_t> cursor(start.begin(), start.end() - 1);
+  const uint32_t* values = offsets.values.data();
+  // bucket_base[τ-1]: the first bucket of level τ, which holds offset
+  // top[τ]; the bucket of (τ, o) is bucket_base[τ-1] + top[τ] - o.
+  std::vector<uint32_t> top(delta + 1, 0);
   for (VertexId v = 0; v < n; ++v) {
     const uint32_t base = offsets.start[v];
     const uint32_t levels = offsets.Levels(v);
     for (uint32_t tau = 1; tau <= levels; ++tau) {
-      entries[cursor[tau - 1]++] = Entry{v, offsets.values[base + tau - 1]};
+      top[tau] = std::max(top[tau], values[base + tau - 1]);
     }
   }
-  auto by_offset_desc = [](const Entry& a, const Entry& b) {
-    if (a.offset != b.offset) return a.offset > b.offset;
-    return a.v < b.v;
-  };
+  std::vector<std::size_t> bucket_base(delta + 1, 0);
   for (uint32_t tau = 1; tau <= delta; ++tau) {
-    std::sort(entries.begin() + start[tau - 1], entries.begin() + start[tau],
-              by_offset_desc);
+    bucket_base[tau] = bucket_base[tau - 1] + top[tau] + 1;
+  }
+  std::vector<uint32_t> cursor(bucket_base[delta] + 1, 0);
+  const auto bucket = [&](uint32_t tau, uint32_t offset) {
+    return bucket_base[tau - 1] + top[tau] - offset;
+  };
+  for (VertexId v = 0; v < n; ++v) {
+    const uint32_t base = offsets.start[v];
+    const uint32_t levels = offsets.Levels(v);
+    for (uint32_t tau = 1; tau <= levels; ++tau) {
+      ++cursor[bucket(tau, values[base + tau - 1]) + 1];
+    }
+  }
+  for (std::size_t b = 1; b < cursor.size(); ++b) cursor[b] += cursor[b - 1];
+
+  std::vector<uint32_t>& start = side->start.Mutable();
+  start.assign(delta + 1, 0);
+  for (uint32_t tau = 1; tau <= delta; ++tau) {
+    start[tau] = cursor[bucket_base[tau]];
+  }
+  std::vector<Entry>& entries = side->entries.Mutable();
+  entries.resize(start[delta]);
+  for (VertexId v = 0; v < n; ++v) {
+    const uint32_t base = offsets.start[v];
+    const uint32_t levels = offsets.Levels(v);
+    for (uint32_t tau = 1; tau <= levels; ++tau) {
+      const uint32_t o = values[base + tau - 1];
+      entries[cursor[bucket(tau, o)]++] = Entry{v, o};
+    }
   }
 }
 

@@ -67,10 +67,19 @@ class BicoreIndex {
   /// Bytes used by the index payload (Fig. 11).
   std::size_t MemoryBytes() const;
 
+  /// Array-wise equality of the payload (δ and both sides), whatever the
+  /// graph object or storage ownership behind it.
+  friend bool operator==(const BicoreIndex& a, const BicoreIndex& b) {
+    return a.delta_ == b.delta_ && a.alpha_side_ == b.alpha_side_ &&
+           a.beta_side_ == b.beta_side_;
+  }
+
  private:
   struct Entry {
     VertexId v;
     uint32_t offset;  ///< s_a(v,τ) or s_b(v,τ)
+
+    friend bool operator==(const Entry&, const Entry&) = default;
   };
 
   /// One side of the index in arena form (the layout `DeltaIndex::Half`
@@ -94,6 +103,7 @@ class BicoreIndex {
       return start.size() * sizeof(uint32_t) +
              entries.size() * sizeof(Entry);
     }
+    friend bool operator==(const SideArena&, const SideArena&) = default;
   };
 
   /// True iff `q` appears in [first, last) with offset ≥ `need`, i.e. q is
@@ -103,8 +113,9 @@ class BicoreIndex {
   static bool CoreContains(const Entry* first, const Entry* last,
                            uint32_t need, VertexId q);
 
-  /// Fills one side arena from the matching decomposition arena in
-  /// Σ_v Levels(v) time (plus the per-τ sorts) — no δ·n sweep.
+  /// Fills one side arena from the matching decomposition arena by a
+  /// counting sort in Σ_v Levels(v) time plus one counter per (τ, offset)
+  /// — no δ·n sweep and no comparison sort.
   static void BuildSide(const OffsetArena& offsets, uint32_t delta,
                         SideArena* side);
 

@@ -2,6 +2,7 @@
 #define ABCS_CORE_DELTA_INDEX_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,13 +49,34 @@ class DeltaIndex {
  public:
   DeltaIndex() = default;
 
+  /// A previous epoch's index to splice from (see `Build`).
+  struct Base {
+    /// Built on the previous graph, which must still be alive.
+    const DeltaIndex* index = nullptr;
+    /// The offsets `index` was built from.
+    const BicoreDecomposition* decomp = nullptr;
+    /// Every vertex whose offsets may differ between `decomp` and the new
+    /// decomposition (a superset is fine: `UpdateSummary::touched`).
+    std::span<const VertexId> touched;
+  };
+
   /// Builds the index in O(δ·m). If `decomp` is non-null it is used
   /// instead of recomputing the offsets; otherwise the 2δ offset peels run
   /// on `num_threads` workers (1 = serial, 0 = hardware concurrency; the
   /// result is identical either way). The graph must outlive the index.
+  ///
+  /// With a `base`, rows whose inputs did not change are taken from the
+  /// base index instead of re-emitted: a row (u, τ) is copied (edge ids
+  /// remapped to `g`'s numbering) when no neighbour's offset at τ changed,
+  /// patched (the changed neighbours' entries dropped and re-merged) when
+  /// some did, and re-emitted from `g` only when u gained or lost an edge
+  /// or a level. The result is array-identical to a build without a base;
+  /// a base that cannot be spliced from (no decomposition, a different δ
+  /// or vertex set, edges not in (u, v) order) is ignored.
   static DeltaIndex Build(const BipartiteGraph& g,
                           const BicoreDecomposition* decomp = nullptr,
-                          unsigned num_threads = 1);
+                          unsigned num_threads = 1,
+                          const Base* base = nullptr);
 
   /// Degeneracy δ of the indexed graph.
   uint32_t delta() const { return delta_; }
@@ -74,6 +96,13 @@ class DeltaIndex {
   /// Bytes used by the index payload (Fig. 11).
   std::size_t MemoryBytes() const;
 
+  /// Array-wise equality of the payload (δ and both halves), whatever the
+  /// graph object or storage ownership behind it.
+  friend bool operator==(const DeltaIndex& a, const DeltaIndex& b) {
+    return a.delta_ == b.delta_ && a.alpha_half_ == b.alpha_half_ &&
+           a.beta_half_ == b.beta_half_;
+  }
+
  private:
   friend Status SaveDeltaIndex(const DeltaIndex&, const BipartiteGraph&,
                                const std::string&);
@@ -85,6 +114,8 @@ class DeltaIndex {
     VertexId to;
     EdgeId eid;
     uint32_t offset;  ///< s_a(to, τ) in the α half, s_b(to, τ) in the β half
+
+    friend bool operator==(const Entry&, const Entry&) = default;
   };
 
   /// One half of the index in arena form. Vertex v owns
@@ -109,7 +140,11 @@ class DeltaIndex {
              self_offset.size() * sizeof(uint32_t) +
              entries.size() * sizeof(Entry);
     }
+    friend bool operator==(const Half&, const Half&) = default;
   };
+
+  /// What a build with a base carries over from it (delta_index.cc).
+  class Splice;
 
   void QueryImpl(VertexId q, uint32_t level, uint32_t need, const Half& half,
                  QueryScratch& scratch, Subgraph* out,

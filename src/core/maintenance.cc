@@ -218,7 +218,12 @@ void DynamicDeltaIndex::UpdateLevel(std::vector<uint32_t>& value,
     }
     if (!expanded) {
       clear_marks();
-      for (VertexId x : scope) MarkTouched(x);
+      // Only the values that moved: a scope vertex that re-peeled to its
+      // old offset changed nothing a reader can see (the endpoints are
+      // marked by the caller).
+      for (VertexId x : scope) {
+        if (value[x] != saved[x]) MarkTouched(x);
+      }
       return;
     }
   }

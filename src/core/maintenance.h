@@ -51,9 +51,11 @@ namespace abcs {
 /// invalidation relies on (src/serve/memo.h).
 ///
 /// `touched` is a deduplicated superset of every vertex whose offsets may
-/// have changed: the update endpoints plus every vertex of every scoped
-/// re-peel. Any vertex absent from `touched` provably kept all its offset
-/// values, hence its community memberships, for every (α,β).
+/// have changed: the update endpoints plus every scoped re-peel vertex
+/// whose offset at that level moved (the whole scope on the fallback
+/// path). Any vertex absent from `touched` provably kept all its offset
+/// values, hence its community memberships, for every (α,β) — the splice
+/// of a topology publish (DeltaIndex::Build with a base) relies on it.
 ///
 /// `reweights` lists each edge reweighted since the drain once, as
 /// (upper, lower, final weight) in unified ids — last write wins — so a

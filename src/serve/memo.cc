@@ -68,9 +68,13 @@ void QueryMemo::Insert(WireMethod method, uint32_t alpha, uint32_t beta,
     // eviction policy; steady traffic re-fills it within seconds.
     roots_.clear();
     results_.clear();
+    scs_keys_.clear();
   }
-  results_[{static_cast<uint8_t>(method), alpha, beta, root}] =
-      Entry{value, kind};
+  const Key rkey{static_cast<uint8_t>(method), alpha, beta, root};
+  if (results_.insert_or_assign(rkey, Entry{value, kind}).second &&
+      kind == EntryKind::kScs) {
+    scs_keys_.push_back(rkey);
+  }
   if (share) {
     for (const EdgeId e : community.edges) {
       const Edge& ed = g.GetEdge(e);
@@ -86,6 +90,7 @@ void QueryMemo::Invalidate() {
   std::unique_lock lock(mu_);
   roots_.clear();
   results_.clear();
+  scs_keys_.clear();
   epoch_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -103,28 +108,37 @@ void QueryMemo::AdvanceEpoch(uint64_t new_epoch, bool topology_changed,
   if (flush_all) {
     roots_.clear();
     results_.clear();
+    scs_keys_.clear();
     return;
   }
+  if (!topology_changed) {
+    // Weights-only: exactly the SCS entries go, each registered under its
+    // own key — no scan of the (much larger) retrieval registrations.
+    for (const Key& key : scs_keys_) {
+      results_.erase(key);
+      roots_.erase(key);
+    }
+    scs_keys_.clear();
+    return;
+  }
+  scs_keys_.clear();  // the sweep below drops every SCS entry
 
+  // A touched registered member witnesses every way a shared answer can
+  // go stale (membership changes, component merges/splits, edges between
+  // surviving members): `touched` already includes the one-hop expansion
+  // covering vertices that *join* a community of untouched members.
   std::unordered_set<Key, KeyHash> dropped;
-  if (topology_changed) {
-    // A touched registered member witnesses every way a shared answer can
-    // go stale (membership changes, component merges/splits, edges between
-    // surviving members): `touched` already includes the one-hop expansion
-    // covering vertices that *join* a community of untouched members.
-    for (const auto& [vkey, root] : roots_) {
-      if (vkey.vertex < touched.size() && touched[vkey.vertex]) {
-        dropped.insert(Key{vkey.method, vkey.alpha, vkey.beta, root});
-      }
+  for (const auto& [vkey, root] : roots_) {
+    if (vkey.vertex < touched.size() && touched[vkey.vertex]) {
+      dropped.insert(Key{vkey.method, vkey.alpha, vkey.beta, root});
     }
   }
   for (auto it = results_.begin(); it != results_.end();) {
     const EntryKind kind = it->second.kind;
     const bool drop =
-        kind == EntryKind::kScs ||  // reads weights and q's arcs: any batch
-        (topology_changed &&
-         (kind == EntryKind::kOversized ||  // members unknown, unverifiable
-          dropped.count(it->first) != 0));
+        kind == EntryKind::kScs ||        // reads weights and q's arcs
+        kind == EntryKind::kOversized ||  // members unknown, unverifiable
+        dropped.count(it->first) != 0;
     it = drop ? results_.erase(it) : ++it;
   }
   // Sweep root registrations whose result is gone so they cannot revive a

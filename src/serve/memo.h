@@ -152,6 +152,9 @@ class QueryMemo {
   mutable std::shared_mutex mu_;
   std::unordered_map<Key, uint32_t, KeyHash> roots_;
   std::unordered_map<Key, Entry, KeyHash> results_;
+  /// The key of every kScs entry (registered under itself in both maps),
+  /// so a weights-only publish drops them without scanning the tables.
+  std::vector<Key> scs_keys_;
   uint64_t aligned_epoch_ = 0;  ///< guarded by mu_
   std::atomic<uint64_t> epoch_{1};
   mutable std::atomic<uint64_t> hits_{0};

@@ -92,8 +92,6 @@ Server::Server(const BipartiteGraph& g, const DeltaIndex* delta,
   smo.update_queue = options.update_queue;
   smo.compact_path = options.compact_path;
   smo.compact_every = options.compact_every;
-  smo.publish_threads =
-      options.publish_threads ? options.publish_threads : resolved_threads_;
   snapshots_ = std::make_unique<SnapshotManager>(g, delta, bicore,
                                                  options.seed_decomp, smo);
   worker_states_.reserve(resolved_threads_);

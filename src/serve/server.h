@@ -51,7 +51,8 @@ struct ServerOptions {
   std::string compact_path;
   /// Compact after every N published epochs (0 = only at drain).
   uint32_t compact_every = 0;
-  /// Threads for the index rebuilds at publish (0 = worker count).
+  /// Ignored: publishes build from the maintained decomposition, which
+  /// leaves no parallel peel to spread. Kept so existing callers compile.
   unsigned publish_threads = 1;
   /// Optional decomposition matching the seed graph; lets the update
   /// writer seed its maintained state without re-peeling (the bundle

@@ -78,6 +78,12 @@ Status SnapshotManager::Start() {
   // copy; with a decomposition in hand (the bundle restart path) this is
   // copies only, no peels.
   dyn_ = std::make_unique<DynamicDeltaIndex>(*last_graph_, last_decomp_.get());
+  // A seed without a decomposition gets the writer's, so every publish
+  // (the first topology commit's splice included) has one to build from.
+  if (!last_decomp_) {
+    last_decomp_ = std::make_shared<const BicoreDecomposition>(
+        dyn_->ExportDecomposition());
+  }
   started_ = true;
   writer_ = std::thread(&SnapshotManager::WriterLoop, this);
   return Status::OK();
@@ -223,11 +229,24 @@ void SnapshotManager::Apply(PendingOp& op) {
 uint64_t SnapshotManager::Publish() {
   UpdateSummary summary = dyn_->DrainSummary();
   if (summary.topology_changed || summary.delta_changed) {
-    // Topology batch: a fresh graph, decomposition and both indexes.
+    // Topology batch: a fresh graph and decomposition. I_δ is spliced
+    // from the previous one — only rows whose inputs changed are rebuilt
+    // — unless δ moved, which re-bins whole levels; I_v is rebuilt.
+    // `base_graph` keeps the base index's graph alive through the splice.
+    const std::shared_ptr<const BipartiteGraph> base_graph = index_graph_;
+    const std::shared_ptr<const BicoreDecomposition> base_decomp =
+        std::move(last_decomp_);
+    const std::shared_ptr<const DeltaIndex> base_delta =
+        std::move(last_delta_);
     last_graph_ = std::make_shared<const BipartiteGraph>(dyn_->ExportGraph());
     index_graph_ = last_graph_;
-    last_decomp_.reset();
-    last_delta_.reset();
+    last_decomp_ = std::make_shared<const BicoreDecomposition>(
+        dyn_->ExportDecomposition());
+    const DeltaIndex::Base base{base_delta.get(), base_decomp.get(),
+                                summary.touched};
+    last_delta_ = std::make_shared<const DeltaIndex>(DeltaIndex::Build(
+        *index_graph_, last_decomp_.get(), /*num_threads=*/1,
+        summary.delta_changed ? nullptr : &base));
     last_bicore_.reset();
   } else {
     // Weights-only batch: the predecessor's topology with the batch's
@@ -235,20 +254,17 @@ uint64_t SnapshotManager::Publish() {
     last_graph_ = std::make_shared<const BipartiteGraph>(
         Reweighted(*last_graph_, summary.reweights));
   }
-  // Built after a topology batch, and on the first weights-only batch
-  // over a seed that came without them (offsets are topology-only, so the
-  // maintained ones match `index_graph_` either way).
-  if (!last_decomp_) {
-    last_decomp_ = std::make_shared<const BicoreDecomposition>(
-        dyn_->ExportDecomposition());
-  }
+  // Built after a topology batch (I_v), and on the first weights-only
+  // batch over a seed that came without indexes (offsets are
+  // topology-only, so the maintained ones match `index_graph_` either
+  // way).
   if (!last_delta_) {
-    last_delta_ = std::make_shared<const DeltaIndex>(DeltaIndex::Build(
-        *index_graph_, last_decomp_.get(), options_.publish_threads));
+    last_delta_ = std::make_shared<const DeltaIndex>(
+        DeltaIndex::Build(*index_graph_, last_decomp_.get()));
   }
   if (!last_bicore_) {
-    last_bicore_ = std::make_shared<const BicoreIndex>(BicoreIndex::Build(
-        *index_graph_, last_decomp_.get(), options_.publish_threads));
+    last_bicore_ = std::make_shared<const BicoreIndex>(
+        BicoreIndex::Build(*index_graph_, last_decomp_.get()));
   }
 
   const uint64_t epoch = Epoch() + 1;

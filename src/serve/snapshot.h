@@ -94,8 +94,6 @@ struct SnapshotManagerOptions {
   /// Compact after every N commits (0 = only at drain). Ignored without a
   /// compact_path.
   uint32_t compact_every = 0;
-  /// Threads for the index rebuilds at publish (0 = hardware).
-  unsigned publish_threads = 1;
 };
 
 /// Monotonic writer-side counters.
@@ -193,9 +191,10 @@ class SnapshotManager {
   void WriterLoop();
   void Apply(PendingOp& op);
   /// Builds + publishes a new snapshot from the writer state; returns its
-  /// epoch. A topology batch re-exports the graph and rebuilds the
-  /// decomposition and both indexes; a weights-only batch patches the
-  /// predecessor's weight column and shares everything else.
+  /// epoch. A topology batch re-exports the graph and decomposition,
+  /// splices I_δ from its predecessor and rebuilds I_v; a weights-only
+  /// batch patches the predecessor's weight column and shares everything
+  /// else.
   uint64_t Publish();
   /// Swaps `snap` in as Current and frees the replaced epoch (if
   /// unpinned) after the admission lock is released.
@@ -206,9 +205,10 @@ class SnapshotManager {
   PublishHook publish_hook_;
 
   std::unique_ptr<DynamicDeltaIndex> dyn_;  ///< writer thread only
-  // The state a weights-only publish shares, seeded with the borrowed
-  // seed (a null index or decomposition is built on first use). Writer
-  // thread only once started, like everything down to the mutex.
+  // The state a weights-only publish shares and a topology publish
+  // splices from, seeded with the borrowed seed (a null decomposition is
+  // exported at Start, a null index built on first use). Writer thread
+  // only once started, like everything down to the mutex.
   std::shared_ptr<const BipartiteGraph> last_graph_;  ///< newest published
   std::shared_ptr<const BipartiteGraph> index_graph_;  ///< indexes' build
   std::shared_ptr<const BicoreDecomposition> last_decomp_;

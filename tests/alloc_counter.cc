@@ -1,0 +1,31 @@
+// Counting replacements of the global allocation functions. They live in
+// their own translation unit so the compiler never sees a replaced
+// `operator delete` inlined beside a replaced `operator new` and warns
+// about the malloc/free pairing behind them.
+
+#include "alloc_counter.h"
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+namespace {
+std::atomic<uint64_t> g_alloc_count{0};
+}  // namespace
+
+namespace abcs::testing {
+uint64_t AllocCount() { return g_alloc_count.load(std::memory_order_relaxed); }
+}  // namespace abcs::testing
+
+void* operator new(std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) { return ::operator new(size); }
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }

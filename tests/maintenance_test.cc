@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 
 #include "abcore/offsets.h"
+#include "core/delta_index.h"
 #include "core/maintenance.h"
 #include "core/online_query.h"
 #include "graph/generators.h"
@@ -195,6 +197,124 @@ TEST(MaintenanceTest, InsertThenRemoveIsIdempotentOnOffsets) {
     }
   }
 }
+
+// The drained touched set is exactly the batch's endpoints plus every
+// vertex whose offset at some level moved — a superset is what the memo
+// and the index splice need, exactness is what keeps them selective.
+TEST(MaintenanceTest, TouchedIsEndpointsPlusChangedOffsets) {
+  BipartiteGraph topo;
+  ASSERT_TRUE(GenChungLuBipartite(30, 30, 200, 1.9, 2.4, 5, &topo).ok());
+  DynamicDeltaIndex dyn(topo);
+  Rng rng(2026);
+  std::set<std::pair<VertexId, VertexId>> present;
+  for (const Edge& e : topo.Edges()) present.insert({e.u, e.v});
+  BicoreDecomposition before = dyn.ExportDecomposition();
+  uint32_t checked = 0;
+  for (int step = 0; step < 60; ++step) {
+    VertexId u = 0;
+    VertexId v = 0;
+    if (rng.NextBounded(2) == 0) {
+      u = static_cast<VertexId>(rng.NextBounded(30));
+      v = static_cast<VertexId>(30 + rng.NextBounded(30));
+      if (present.count({u, v})) continue;
+      ASSERT_TRUE(dyn.InsertEdge(u, v, 1.0).ok());
+      present.insert({u, v});
+    } else {
+      auto it = present.begin();
+      std::advance(it, rng.NextBounded(present.size()));
+      u = it->first;
+      v = it->second;
+      ASSERT_TRUE(dyn.RemoveEdge(u, v).ok());
+      present.erase(it);
+    }
+    const UpdateSummary summary = dyn.DrainSummary();
+    const BicoreDecomposition after = dyn.ExportDecomposition();
+    if (after.delta == before.delta) {
+      std::set<VertexId> want{u, v};
+      for (VertexId x = 0; x < topo.NumVertices(); ++x) {
+        for (uint32_t tau = 1; tau <= after.delta; ++tau) {
+          if (before.sa(tau, x) != after.sa(tau, x) ||
+              before.sb(tau, x) != after.sb(tau, x)) {
+            want.insert(x);
+          }
+        }
+      }
+      const std::set<VertexId> got(summary.touched.begin(),
+                                   summary.touched.end());
+      ASSERT_EQ(got.size(), summary.touched.size()) << "duplicates";
+      EXPECT_EQ(got, want) << "step " << step;
+      ++checked;
+    }
+    before = after;
+  }
+  EXPECT_GE(checked, 40u);
+}
+
+// DeltaIndex::Build with a base (the previous epoch's index, its
+// decomposition and the batch's touched set) must be array-identical to
+// a build without one, batch after batch, each spliced index serving as
+// the next base.
+class SpliceTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SpliceTest, SplicedIndexMatchesFreshBuild) {
+  BipartiteGraph topo;
+  ASSERT_TRUE(
+      GenChungLuBipartite(40, 40, 320, 1.9, 2.4, GetParam(), &topo).ok());
+  DynamicDeltaIndex dyn(topo);
+  Rng rng(GetParam() * 31 + 1);
+  std::set<std::pair<VertexId, VertexId>> present;
+  for (const Edge& e : topo.Edges()) present.insert({e.u, e.v});
+
+  auto graph = std::make_unique<BipartiteGraph>(dyn.ExportGraph());
+  auto decomp =
+      std::make_unique<BicoreDecomposition>(dyn.ExportDecomposition());
+  auto index =
+      std::make_unique<DeltaIndex>(DeltaIndex::Build(*graph, decomp.get()));
+  uint32_t spliced = 0;
+  for (int batch = 0; batch < 30; ++batch) {
+    const uint32_t ops = 1 + static_cast<uint32_t>(rng.NextBounded(6));
+    for (uint32_t i = 0; i < ops; ++i) {
+      if (rng.NextBounded(2) == 0) {
+        const VertexId u = static_cast<VertexId>(rng.NextBounded(40));
+        const VertexId v = static_cast<VertexId>(40 + rng.NextBounded(40));
+        if (present.count({u, v})) continue;
+        ASSERT_TRUE(dyn.InsertEdge(u, v, 1.0).ok());
+        present.insert({u, v});
+      } else {
+        auto it = present.begin();
+        std::advance(it, rng.NextBounded(present.size()));
+        ASSERT_TRUE(dyn.RemoveEdge(it->first, it->second).ok());
+        present.erase(it);
+      }
+    }
+    const UpdateSummary summary = dyn.DrainSummary();
+    auto next_graph = std::make_unique<BipartiteGraph>(dyn.ExportGraph());
+    auto next_decomp =
+        std::make_unique<BicoreDecomposition>(dyn.ExportDecomposition());
+    const DeltaIndex::Base base{index.get(), decomp.get(), summary.touched};
+    auto next = std::make_unique<DeltaIndex>(
+        DeltaIndex::Build(*next_graph, next_decomp.get(), 1, &base));
+    ASSERT_TRUE(*next == DeltaIndex::Build(*next_graph, next_decomp.get()))
+        << "batch " << batch;
+    if (next_decomp->delta == decomp->delta) ++spliced;
+    graph = std::move(next_graph);
+    decomp = std::move(next_decomp);
+    index = std::move(next);
+  }
+  EXPECT_GE(spliced, 20u);
+
+  // A base over a different vertex set is ignored, not trusted.
+  const BipartiteGraph other = RandomWeightedGraph(5, 5, 12, 3);
+  const DeltaIndex other_index = DeltaIndex::Build(other);
+  const BicoreDecomposition other_decomp = ComputeBicoreDecomposition(other);
+  const std::vector<VertexId> all = {0, 1, 2};
+  const DeltaIndex::Base foreign{&other_index, &other_decomp, all};
+  EXPECT_TRUE(DeltaIndex::Build(*graph, decomp.get(), 1, &foreign) ==
+              DeltaIndex::Build(*graph, decomp.get()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SpliceTest,
+                         ::testing::Values(11, 12, 13, 14));
 
 }  // namespace
 }  // namespace abcs

@@ -4,10 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <limits>
-#include <new>
 #include <vector>
 
 #include "common/rng.h"
@@ -19,29 +16,8 @@
 #include "core/query_scratch.h"
 #include "core/scs_auto.h"
 #include "core/subgraph.h"
+#include "alloc_counter.h"
 #include "test_util.h"
-
-// --------------------------------------------------- counting allocator --
-// Global operator new/delete with an allocation counter, so the
-// zero-allocation guarantee is asserted directly rather than inferred from
-// capacity snapshots alone.
-
-namespace {
-std::atomic<uint64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace abcs {
 namespace {
@@ -67,6 +43,15 @@ std::vector<QueryRequest> MixedRequests(const BipartiteGraph& g,
 // (a) Reusing one scratch across 1000 mixed queries — interleaved over all
 // three paths so stale state from one path would poison the next — is
 // bit-identical to the fresh-allocation API.
+// The zero-allocation assertions below are only as good as the counter:
+// the replaced global operator new must be the one this binary calls.
+TEST(AllocCounterTest, CountsGlobalNew) {
+  const uint64_t before = ::abcs::testing::AllocCount();
+  int* volatile p = new int(7);
+  delete p;
+  EXPECT_GT(::abcs::testing::AllocCount(), before);
+}
+
 TEST(QueryEngineTest, ScratchReuseBitIdenticalToFreshAllocation) {
   const BipartiteGraph g = RandomWeightedGraph(50, 50, 500, 11);
   const DeltaIndex delta = DeltaIndex::Build(g);
@@ -173,11 +158,11 @@ TEST(QueryEngineTest, ZeroAllocationsSteadyState) {
     }
     const std::size_t capacity = scratch.CapacityBytes();
     const std::size_t out_capacity = out.edges.capacity();
-    const uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed);
+    const uint64_t allocs = ::abcs::testing::AllocCount();
     for (const QueryRequest& r : requests) {  // steady state
       engine.Query(r, scratch, &out);
     }
-    EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), allocs)
+    EXPECT_EQ(::abcs::testing::AllocCount(), allocs)
         << "method=" << QueryMethodName(method);
     EXPECT_EQ(scratch.CapacityBytes(), capacity)
         << "method=" << QueryMethodName(method);

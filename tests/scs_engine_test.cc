@@ -6,9 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include "core/delta_index.h"
@@ -20,29 +17,8 @@
 #include "core/scs_peel.h"
 #include "graph/generators.h"
 #include "graph/weights.h"
+#include "alloc_counter.h"
 #include "test_util.h"
-
-// --------------------------------------------------- counting allocator --
-// Global operator new/delete with an allocation counter, so the
-// zero-allocation guarantee is asserted directly rather than inferred from
-// capacity snapshots alone.
-
-namespace {
-std::atomic<uint64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace abcs {
 namespace {
@@ -288,9 +264,9 @@ TEST(ScsEngineTest, ZeroAllocationsSteadyState) {
       }
     };
     run_all();  // warm-up: grow every pooled buffer to its high-water mark
-    const uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed);
+    const uint64_t allocs = ::abcs::testing::AllocCount();
     run_all();  // steady state
-    EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), allocs)
+    EXPECT_EQ(::abcs::testing::AllocCount(), allocs)
         << "algo=" << ScsAlgoName(algo);
   }
 }

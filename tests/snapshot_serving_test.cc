@@ -14,6 +14,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -101,6 +102,41 @@ std::vector<Edge> Canonical(const BipartiteGraph& g) {
   std::vector<EdgeId> all(g.NumEdges());
   for (EdgeId e = 0; e < g.NumEdges(); ++e) all[e] = e;
   return Canonical(g, all);
+}
+
+// The served decomposition and indexes must be array-identical to fresh
+// builds over the served graph, whether they were spliced, rebuilt or
+// shared.
+void ExpectFreshIndexes(const Snapshot& snap, const std::string& context) {
+  const BicoreDecomposition decomp = ComputeBicoreDecomposition(snap.graph());
+  ASSERT_NE(snap.decomposition(), nullptr) << context;
+  EXPECT_EQ(*snap.decomposition(), decomp) << context;
+  EXPECT_TRUE(*snap.delta_index() == DeltaIndex::Build(snap.graph(), &decomp))
+      << context;
+  EXPECT_TRUE(*snap.bicore_index() ==
+              BicoreIndex::Build(snap.graph(), &decomp))
+      << context;
+}
+
+// Two K_{3,3} blocks, A = u{0,1,2} x v{0,1,2} and B = u{3,4,5} x
+// v{3,4,5}, plus `extra` edges.
+BipartiteGraph TwoBlocks(
+    std::vector<std::tuple<uint32_t, uint32_t, Weight>> extra = {}) {
+  for (uint32_t base : {0u, 3u}) {
+    for (uint32_t u = base; u < base + 3; ++u) {
+      for (uint32_t v = base; v < base + 3; ++v) extra.emplace_back(u, v, 1.0);
+    }
+  }
+  return MakeGraph(extra);
+}
+
+uint32_t CommunityEdges(const Snapshot& snap, VertexId q, uint32_t alpha,
+                        uint32_t beta) {
+  QueryScratch scratch;
+  Subgraph community;
+  snap.delta_engine().Query(QueryRequest{q, alpha, beta}, scratch,
+                            &community);
+  return static_cast<uint32_t>(community.edges.size());
 }
 
 TEST(SnapshotManagerTest, CommitPublishesAndPinsRetireSafely) {
@@ -273,8 +309,13 @@ TEST(SnapshotManagerTest, CommitChainMatchesFreshRebuild) {
     if (snap->delta_index() == prev->delta_index()) ++reweight_commits;
 
     const BipartiteGraph ref_g = ref.ExportGraph();
-    const DeltaIndex ref_delta = DeltaIndex::Build(ref_g);
+    const BicoreDecomposition ref_decomp = ref.ExportDecomposition();
+    const DeltaIndex ref_delta = DeltaIndex::Build(ref_g, &ref_decomp);
     ASSERT_EQ(Canonical(snap->graph()), Canonical(ref_g))
+        << "commit " << commit;
+    // Spliced, rebuilt or shared, the published arrays are the fresh ones.
+    ASSERT_TRUE(*snap->delta_index() == ref_delta) << "commit " << commit;
+    ASSERT_TRUE(*snap->bicore_index() == BicoreIndex::Build(ref_g, &ref_decomp))
         << "commit " << commit;
     for (uint32_t sample = 0; sample < 25; ++sample) {
       const VertexId q =
@@ -306,6 +347,68 @@ TEST(SnapshotManagerTest, CommitChainMatchesFreshRebuild) {
     }
   }
   EXPECT_GE(reweight_commits, 10u) << "the chain must exercise sharing";
+}
+
+// Constructed topology commits, each checked array-for-array against
+// fresh builds: an insert that merges two communities, the removal that
+// splits them again, a hub whose rows are patched because one neighbour's
+// offsets moved, and δ growing and shrinking (the full-build fallback).
+TEST(SnapshotManagerTest, SplicedTopologyCommitsMatchFreshBuilds) {
+  // Hub u6 sees A's lower vertices and four pendants v6..v9.
+  std::vector<std::tuple<uint32_t, uint32_t, Weight>> hub;
+  for (const uint32_t v : {0u, 1u, 2u, 6u, 7u, 8u, 9u}) {
+    hub.emplace_back(6, v, 1.0);
+  }
+  ManagerHarness h(TwoBlocks(hub));
+  ASSERT_TRUE(h.manager->Start().ok());
+  const auto commit = [&](const std::string& context) {
+    ASSERT_EQ(h.Apply(UpdateOp::kCommit, 0, 0, 0.0), WireStatus::kOk);
+    ExpectFreshIndexes(*h.manager->Current(), context);
+  };
+  std::shared_ptr<const Snapshot> snap = h.manager->Current();
+  ASSERT_EQ(snap->delta_index()->delta(), 3u);
+  // At (2,2) the blocks are separate communities: A with the hub's three
+  // arcs into it, and B.
+  ASSERT_EQ(CommunityEdges(*snap, 0, 2, 2), 12u);
+  ASSERT_EQ(CommunityEdges(*snap, 3, 2, 2), 9u);
+
+  // Merge: one edge joins them.
+  ASSERT_EQ(h.Apply(UpdateOp::kInsertEdge, 0, 3, 1.0), WireStatus::kOk);
+  commit("merge");
+  snap = h.manager->Current();
+  EXPECT_EQ(CommunityEdges(*snap, 3, 2, 2), 22u);
+
+  // Split: removing it separates them again.
+  ASSERT_EQ(h.Apply(UpdateOp::kRemoveEdge, 0, 3, 0.0), WireStatus::kOk);
+  commit("split");
+  snap = h.manager->Current();
+  EXPECT_EQ(CommunityEdges(*snap, 0, 2, 2), 12u);
+  EXPECT_EQ(CommunityEdges(*snap, 3, 2, 2), 9u);
+
+  // Hub patch: dropping (u1, v1) moves v1's offsets; the hub keeps its
+  // arcs, so its rows are patched rather than re-emitted.
+  ASSERT_EQ(h.Apply(UpdateOp::kRemoveEdge, 1, 1, 0.0), WireStatus::kOk);
+  commit("hub patch");
+  snap = h.manager->Current();
+  EXPECT_EQ(snap->graph().Degree(6), 7u);
+  EXPECT_EQ(CommunityEdges(*snap, 6, 3, 3), 9u);  // u{0,2,6} x v{0,1,2}
+
+  // δ grows (u0..u3 x v0..v3 fills in to a K_{4,4}) and shrinks back.
+  std::vector<std::pair<uint32_t, uint32_t>> added;
+  for (uint32_t u = 0; u < 4; ++u) {
+    for (uint32_t v = 0; v < 4; ++v) {
+      if (h.Apply(UpdateOp::kInsertEdge, u, v, 1.0) == WireStatus::kOk) {
+        added.emplace_back(u, v);
+      }
+    }
+  }
+  commit("delta grows");
+  EXPECT_EQ(h.manager->Current()->delta_index()->delta(), 4u);
+  for (const auto& [u, v] : added) {
+    ASSERT_EQ(h.Apply(UpdateOp::kRemoveEdge, u, v, 0.0), WireStatus::kOk);
+  }
+  commit("delta shrinks");
+  EXPECT_EQ(h.manager->Current()->delta_index()->delta(), 3u);
 }
 
 // Sharing never chains epochs: an unpinned snapshot retires at the next
@@ -405,6 +508,61 @@ TEST(SnapshotManagerTest, BundleSeededWeightsOnlyCommitSharesSeed) {
       ASSERT_EQ(b.significance, a.significance);
     }
   }
+  manager.Drain();
+  std::filesystem::remove_all(dir);
+}
+
+// The restart path's first topology commit splices from the bundle's
+// mapped I_δ and decomposition, without writing through the mapping.
+TEST(SnapshotManagerTest, BundleSeededTopologyCommitSplicesFromMapping) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "abcs_snapshot_splice_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string bundle_path = (dir / "serve.abcs").string();
+  {
+    const BipartiteGraph g = RandomWeightedGraph(25, 25, 160, /*seed=*/5);
+    const BicoreDecomposition decomp = ComputeBicoreDecomposition(g);
+    ASSERT_TRUE(SaveIndexBundle(g, decomp, DeltaIndex::Build(g, &decomp),
+                                BicoreIndex::Build(g, &decomp), bundle_path)
+                    .ok());
+  }
+  std::unique_ptr<IndexBundle> seed;
+  ASSERT_TRUE(OpenIndexBundle(bundle_path, &seed).ok());
+  ASSERT_TRUE(seed->ZeroCopy());
+  const BipartiteGraph& g = seed->graph();
+  const DeltaIndex seed_delta = DeltaIndex::Build(g);
+
+  SnapshotManager manager(g, &seed->delta_index(), &seed->bicore_index(),
+                          &seed->decomposition(), {});
+  ASSERT_TRUE(manager.Start().ok());
+  const Edge removed = g.GetEdge(7);
+  const uint32_t num_upper = g.NumUpper();
+  ASSERT_EQ(ApplyOp(manager, UpdateOp::kRemoveEdge, removed.u,
+                    removed.v - num_upper, 0.0),
+            WireStatus::kOk);
+  uint32_t inserted = 0;
+  for (uint32_t u = 0; u < 25 && inserted < 2; ++u) {
+    if (ApplyOp(manager, UpdateOp::kInsertEdge, u, (u * 7) % 25, 2.0) ==
+        WireStatus::kOk) {
+      ++inserted;
+    }
+  }
+  ASSERT_EQ(inserted, 2u);
+  ASSERT_EQ(ApplyOp(manager, UpdateOp::kCommit, 0, 0, 0.0), WireStatus::kOk);
+  const std::shared_ptr<const Snapshot> snap = manager.Current();
+  EXPECT_EQ(snap->graph().NumEdges(), g.NumEdges() + 1);
+  ExpectFreshIndexes(*snap, "first topology commit");
+  EXPECT_TRUE(seed->ZeroCopy());
+  EXPECT_TRUE(seed->delta_index() == seed_delta) << "wrote through the mapping";
+  EXPECT_EQ(seed->decomposition(), ComputeBicoreDecomposition(g));
+
+  // And the chain keeps splicing from its own (owned) arrays.
+  ASSERT_EQ(ApplyOp(manager, UpdateOp::kInsertEdge, removed.u,
+                    removed.v - num_upper, 1.0),
+            WireStatus::kOk);
+  ASSERT_EQ(ApplyOp(manager, UpdateOp::kCommit, 0, 0, 0.0), WireStatus::kOk);
+  ExpectFreshIndexes(*manager.Current(), "second topology commit");
   manager.Drain();
   std::filesystem::remove_all(dir);
 }
@@ -627,6 +785,38 @@ TEST(SnapshotServingTest, PublishKeepsUntouchedComponentMemoWarm) {
   ASSERT_TRUE(client.Call(Query(0, 2, 2), &resp).ok());
   EXPECT_FALSE(resp.memo_hit) << "touched component must be invalidated";
   EXPECT_EQ(resp.num_edges, 4u);  // u4/v4 still fail the (2,2) degree bar
+}
+
+// A churn commit invalidates only what it changed: removing an edge inside
+// block A re-peels offsets across the whole connected graph (A and B are
+// joined through w = v6), but no vertex of B ends with a different offset,
+// so B's warm (3,3) entry survives the publish.
+TEST(SnapshotServingTest, ChurnCommitKeepsOtherCommunityMemoWarm) {
+  ServerOptions options;
+  options.num_threads = 1;  // deterministic memo fill
+  ServeHarness h(TwoBlocks({{0, 6, 1.0}, {3, 6, 1.0}}), options);
+  Client client = h.Connect();
+
+  WireResponse resp;
+  for (const uint32_t q : {0u, 3u}) {
+    ASSERT_TRUE(client.Call(Query(q, 3, 3), &resp).ok());
+    ASSERT_EQ(resp.status, WireStatus::kOk);
+    EXPECT_EQ(resp.num_edges, 9u) << "q=" << q;
+    ASSERT_TRUE(client.Call(Query(q, 3, 3), &resp).ok());
+    EXPECT_TRUE(resp.memo_hit) << "q=" << q;
+  }
+
+  ASSERT_TRUE(client.Update(UpdateOp::kRemoveEdge, 1, 1, 0.0, &resp).ok());
+  ASSERT_EQ(resp.status, WireStatus::kOk);
+  ASSERT_TRUE(client.Commit(nullptr).ok());
+
+  ASSERT_TRUE(client.Call(Query(3, 3, 3), &resp).ok());
+  EXPECT_EQ(resp.epoch, 2u);
+  EXPECT_TRUE(resp.memo_hit) << "B's offsets did not move";
+  EXPECT_EQ(resp.num_edges, 9u);
+  ASSERT_TRUE(client.Call(Query(0, 3, 3), &resp).ok());
+  EXPECT_FALSE(resp.memo_hit) << "A lost an edge";
+  EXPECT_EQ(resp.num_edges, 0u);  // u1, v1 fall out; A unravels
 }
 
 // Mixed read/write stress: concurrent readers + one committing writer.
