@@ -1,6 +1,6 @@
 // Startup-latency benchmark: time-to-first-query of a cold index build vs
-// reopening a persisted ABCSPAK2 bundle (legacy ABCSIDX load, read-mode
-// open, mmap open — verified and unverified), at every compression level
+// reopening a persisted ABCSPAK2 bundle (read-mode open, mmap open —
+// verified and unverified), at every compression level
 // (none / fast / max). This is the restart story the bundle format exists
 // for: the O(δ·m) construction cost is paid once at save time, and every
 // process start afterwards is an O(file) open (or O(1) copies + lazy page
@@ -26,7 +26,6 @@
 #include "common/timer.h"
 #include "core/bicore_index.h"
 #include "core/delta_index.h"
-#include "core/index_io.h"
 #include "core/subgraph.h"
 #include "io/index_bundle.h"
 
@@ -91,7 +90,6 @@ struct Row {
   double save_seconds = 0;    ///< encode (at this level) + crash-safe write
   double cold_build_1t = 0;   ///< serial decomposition + I_δ + first query
   double cold_build_mt = 0;   ///< all-cores decomposition + I_δ + query
-  double legacy_load = 0;     ///< ABCSIDX LoadDeltaIndex + first query
   double open_read = 0;       ///< bundle kRead open (+decode) + first query
   double open_mmap = 0;       ///< bundle kMmap open (+decode) + first query
   double open_mmap_unverified = 0;  ///< mmap open, checksums skipped
@@ -103,9 +101,9 @@ int main(int argc, char** argv) {
   const char* out_path = argc > 1 ? argv[1] : "BENCH_load.json";
   const std::vector<abcs::DatasetSpec> specs = SelectedDatasets();
 
-  std::printf("%-5s %-5s %8s %8s %6s %9s %7s %9s %10s %10s %10s %10s %8s\n",
+  std::printf("%-5s %-5s %8s %8s %6s %9s %7s %9s %10s %10s %10s %8s\n",
               "name", "comp", "n", "m", "delta", "MB", "ratio", "save",
-              "buildMT", "legacy", "read", "mmap", "speedup");
+              "buildMT", "read", "mmap", "speedup");
   std::vector<Row> rows;
   for (const abcs::DatasetSpec& spec : specs) {
     const abcs::bench::PreparedDataset ds = abcs::bench::Prepare(spec);
@@ -124,17 +122,14 @@ int main(int argc, char** argv) {
         built.QueryCommunity(q, ab, ab).edges;
 
     const std::string bundle_path = "bench_load_startup.tmp.abcs";
-    const std::string legacy_path = "bench_load_startup.tmp.idx";
-    if (!abcs::SaveDeltaIndex(built, g, legacy_path).ok()) return 1;
 
     bool identical = true;
     auto check = [&](const std::vector<abcs::EdgeId>& got) {
       identical = identical && got == want;
     };
 
-    // The cold-build and legacy-load baselines are per-dataset; measure
-    // once and repeat them on every compression row for self-contained
-    // JSON records.
+    // The cold-build baselines are per-dataset; measure once and repeat
+    // them on every compression row for self-contained JSON records.
     const double cold_build_1t = TimeBest(1, [&] {
       const abcs::DeltaIndex index =
           abcs::DeltaIndex::Build(g, nullptr, /*num_threads=*/1);
@@ -143,11 +138,6 @@ int main(int argc, char** argv) {
     const double cold_build_mt = TimeBest(1, [&] {
       const abcs::DeltaIndex index =
           abcs::DeltaIndex::Build(g, nullptr, /*num_threads=*/0);
-      check(index.QueryCommunity(q, ab, ab).edges);
-    });
-    const double legacy_load = TimeBest(3, [&] {
-      abcs::DeltaIndex index;
-      if (!abcs::LoadDeltaIndex(legacy_path, g, &index).ok()) std::exit(1);
       check(index.QueryCommunity(q, ab, ab).edges);
     });
 
@@ -163,7 +153,6 @@ int main(int argc, char** argv) {
       row.delta = ds.delta();
       row.cold_build_1t = cold_build_1t;
       row.cold_build_mt = cold_build_mt;
-      row.legacy_load = legacy_load;
       {
         abcs::Timer timer;
         abcs::SaveBundleOptions save;
@@ -205,17 +194,15 @@ int main(int argc, char** argv) {
       constexpr double kMb = 1024.0 * 1024.0;
       std::printf(
           "%-5s %-5s %8u %8u %6u %9.2f %6.2fx %9.4f %10.4f %10.4f %10.4f "
-          "%10.4f %7.1fx\n",
+          "%7.1fx\n",
           row.name.c_str(), row.compression.c_str(), row.n, row.m, row.delta,
           static_cast<double>(row.bundle_bytes) / kMb, row.compression_ratio,
-          row.save_seconds, row.cold_build_mt, row.legacy_load, row.open_read,
-          row.open_mmap,
+          row.save_seconds, row.cold_build_mt, row.open_read, row.open_mmap,
           row.open_mmap > 0 ? row.cold_build_mt / row.open_mmap : 0.0);
       rows.push_back(std::move(row));
     }
 
     std::remove(bundle_path.c_str());
-    std::remove(legacy_path.c_str());
     if (!identical) {
       std::fprintf(stderr,
                    "FATAL: %s first-query results differ across paths\n",
@@ -240,13 +227,13 @@ int main(int argc, char** argv) {
         "     \"save_seconds\": %.6f,\n"
         "     \"cold_build_1t_seconds\": %.6f, "
         "\"cold_build_mt_seconds\": %.6f,\n"
-        "     \"legacy_load_seconds\": %.6f, \"open_read_seconds\": %.6f,\n"
+        "     \"open_read_seconds\": %.6f,\n"
         "     \"open_mmap_seconds\": %.6f, "
         "\"open_mmap_unverified_seconds\": %.6f,\n"
         "     \"ttfq_speedup_mmap_vs_cold_build\": %.2f}%s\n",
         r.name.c_str(), r.compression.c_str(), r.n, r.m, r.delta,
         r.bundle_bytes, r.compression_ratio, r.save_seconds, r.cold_build_1t,
-        r.cold_build_mt, r.legacy_load, r.open_read, r.open_mmap,
+        r.cold_build_mt, r.open_read, r.open_mmap,
         r.open_mmap_unverified,
         r.open_mmap > 0 ? r.cold_build_mt / r.open_mmap : 0.0,
         i + 1 < rows.size() ? "," : "");

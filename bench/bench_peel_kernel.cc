@@ -49,30 +49,15 @@ int main() {
               spec->name.c_str(), g.NumEdges(), g.NumUpper(), g.NumLower(),
               delta);
 
-  // Unpacked vs bit-packed degree form of the same threshold peel: the
-  // packed kernel's working set is width/32 of the u32 array, which is the
-  // whole contest — same arcs touched, smaller random-access footprint.
   const uint32_t n = g.NumVertices();
   std::vector<uint32_t> base_deg(n);
-  uint32_t max_deg = 0;
-  for (abcs::VertexId v = 0; v < n; ++v) {
-    base_deg[v] = g.Degree(v);
-    max_deg = std::max(max_deg, base_deg[v]);
-  }
+  for (abcs::VertexId v = 0; v < n; ++v) base_deg[v] = g.Degree(v);
   const auto threshold = [](abcs::VertexId) { return 2u; };
-  const double unpacked_22 = TimeBest(3, [&] {
+  const double raw_22 = TimeBest(3, [&] {
     std::vector<uint32_t> deg = base_deg;
     std::vector<uint8_t> alive(n, 1);
     abcs::ThresholdPeel(n, deg, alive, abcs::GraphNeighbors(g), threshold,
                         [](abcs::VertexId) {});
-  });
-  abcs::PackedU32Array packed_template;
-  packed_template.Assign(base_deg.data(), n);
-  const double packed_22 = TimeBest(3, [&] {
-    abcs::PackedU32Array deg = packed_template;
-    std::vector<uint8_t> alive(n, 1);
-    abcs::ThresholdPeelPacked(n, deg, alive, abcs::GraphNeighbors(g),
-                              threshold, [](abcs::VertexId) {});
   });
 
   std::printf("\nsingle peels (best of 3)\n%-28s %10s %12s\n", "kernel",
@@ -83,8 +68,7 @@ int main() {
   } rows[] = {
       {"ThresholdPeel (2,2)-core",
        TimeBest(3, [&] { abcs::ComputeAlphaBetaCore(g, 2, 2); })},
-      {"ThresholdPeel raw (2,2)", unpacked_22},
-      {"ThresholdPeelPacked (2,2)", packed_22},
+      {"ThresholdPeel raw (2,2)", raw_22},
       {"LevelPeeler alpha-offsets",
        TimeBest(3, [&] { abcs::ComputeAlphaOffsets(g, 2); })},
       {"LevelPeeler beta-offsets",
@@ -96,13 +80,6 @@ int main() {
     std::printf("%-28s %10.4f %12.1f\n", row.label, row.seconds,
                 m / row.seconds / 1e6);
   }
-  std::printf(
-      "packed degree form: %u-bit lanes, %.1f%% of the u32 array footprint, "
-      "%5.2fx vs raw peel\n",
-      packed_template.width(),
-      100.0 * packed_template.MemoryBytes() / (n * sizeof(uint32_t)),
-      packed_22 > 0 ? unpacked_22 / packed_22 : 0.0);
-
   std::printf(
       "\nwhole-grid decomposition (incremental nested-core chains over "
       "delta = %u levels/side, best of 3)\n",

@@ -6,10 +6,13 @@
 //              significance. The publish shares the predecessor's
 //              decomposition and both indexes (all topology-only), so
 //              the epoch cost is one patched copy of the graph.
-//   churn    — topology batches: every op pair removes an existing edge
-//              and reinserts it. The publish exports the graph and the
-//              decomposition, splices I_δ from its predecessor (copying
-//              the rows whose inputs did not change) and rebuilds I_v.
+//   churn    — topology batches: every op pair removes a present edge and
+//              inserts an absent (u, v) pair, both drawn from a fixed
+//              seed against the live edge set, so |E| holds steady while
+//              the topology really changes. The publish exports the graph
+//              and the decomposition, splices I_δ from its predecessor
+//              (copying the rows whose inputs did not change) and
+//              rebuilds I_v.
 //
 // Each cycle enqueues one batch plus a kCommit and waits for the commit
 // callback, so the measured commit latency is exactly what a client sees
@@ -30,6 +33,7 @@
 #include <future>
 #include <random>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "bench_common.h"
@@ -99,6 +103,27 @@ Row RunConfig(const abcs::bench::PreparedDataset& ds,
   std::uniform_int_distribution<abcs::EdgeId> pick(0,
                                                    ds.graph.NumEdges() - 1);
   const uint32_t num_upper = ds.graph.NumUpper();
+  // Churn's live edge set (layer-local endpoints), so every remove hits a
+  // present edge and every insert an absent pair.
+  struct LiveEdge {
+    uint32_t u, v;
+    double w;
+  };
+  std::vector<LiveEdge> live;
+  std::unordered_set<uint64_t> live_keys;
+  auto key = [](uint32_t u, uint32_t v) {
+    return (static_cast<uint64_t>(u) << 32) | v;
+  };
+  if (!weights_only) {
+    live.reserve(ds.graph.NumEdges());
+    for (const abcs::Edge& e : ds.graph.Edges()) {
+      live.push_back({e.u, e.v - num_upper, e.w});
+      live_keys.insert(key(e.u, e.v - num_upper));
+    }
+  }
+  std::uniform_int_distribution<uint32_t> pick_u(0, num_upper - 1);
+  std::uniform_int_distribution<uint32_t> pick_v(0,
+                                                 ds.graph.NumLower() - 1);
 
   std::vector<double> commit_us;
   commit_us.reserve(commits);
@@ -106,16 +131,31 @@ Row RunConfig(const abcs::bench::PreparedDataset& ds,
   abcs::Timer total;
   for (uint32_t c = 0; c < commits; ++c) {
     for (uint32_t i = 0; i < batch; ++i) {
-      const abcs::Edge& e = ds.graph.GetEdge(pick(rng));
-      const uint32_t v_lower = e.v - num_upper;
       if (weights_only) {
-        MustApply(mgr, UpdateOp::kReweightEdge, e.u, v_lower,
+        const abcs::Edge& e = ds.graph.GetEdge(pick(rng));
+        MustApply(mgr, UpdateOp::kReweightEdge, e.u, e.v - num_upper,
                   e.w + 0.25 * static_cast<double>(c % 3));
         applied += 1;
       } else {
-        // Remove + reinsert: topology-dirty batch, steady-state graph.
-        MustApply(mgr, UpdateOp::kRemoveEdge, e.u, v_lower, 0);
-        MustApply(mgr, UpdateOp::kInsertEdge, e.u, v_lower, e.w);
+        // Remove a present edge, insert an absent pair carrying its
+        // weight: topology-dirty batch, steady edge count and weights.
+        std::uniform_int_distribution<std::size_t> pick_live(0,
+                                                             live.size() - 1);
+        const std::size_t r = pick_live(rng);
+        const LiveEdge gone = live[r];
+        live[r] = live.back();
+        live.pop_back();
+        live_keys.erase(key(gone.u, gone.v));
+        LiveEdge added{0, 0, gone.w};
+        do {
+          added.u = pick_u(rng);
+          added.v = pick_v(rng);
+        } while (live_keys.count(key(added.u, added.v)) != 0 ||
+                 (added.u == gone.u && added.v == gone.v));
+        live.push_back(added);
+        live_keys.insert(key(added.u, added.v));
+        MustApply(mgr, UpdateOp::kRemoveEdge, gone.u, gone.v, 0);
+        MustApply(mgr, UpdateOp::kInsertEdge, added.u, added.v, added.w);
         applied += 2;
       }
     }

@@ -10,7 +10,6 @@
 
 #include "core/cancel.h"
 #include "graph/bipartite_graph.h"
-#include "io/codec.h"
 
 namespace abcs {
 
@@ -92,60 +91,6 @@ void ThresholdPeel(uint32_t num_vertices, std::vector<uint32_t>& deg,
                      std::forward<ForEachNeighbor>(for_each),
                      std::forward<Threshold>(threshold),
                      std::forward<OnRemove>(on_remove), queue_storage, cancel);
-}
-
-/// \brief Packed-form whole-graph threshold peel: identical fixed point to
-/// `ThresholdPeel`, but the degree array stays in its bit-packed form
-/// (`PackedU32Array`, ⌈log₂(maxdeg+1)⌉ bits per vertex) for the entire
-/// peel — no unpack round trip. The seed scan unpacks in batches (word-at-
-/// a-time, amortised shifts); the cascade decrements in place, one
-/// read-modify-write per arc. A packed degree array is 3–6× smaller than a
-/// u32 vector, so on large graphs the peel's hottest random-access array
-/// fits a cache level the unpacked kernel misses
-/// (bench/bench_peel_kernel.cc measures both forms side by side).
-template <typename ForEachNeighbor, typename Threshold, typename OnRemove>
-void ThresholdPeelPacked(uint32_t num_vertices, PackedU32Array& deg,
-                         std::vector<uint8_t>& alive,
-                         ForEachNeighbor&& for_each, Threshold&& threshold,
-                         OnRemove&& on_remove,
-                         std::vector<VertexId>* queue_storage = nullptr,
-                         CancelToken* cancel = nullptr) {
-  std::vector<VertexId> local_queue;
-  std::vector<VertexId>& queue = queue_storage ? *queue_storage : local_queue;
-  queue.clear();
-  queue.reserve(64);
-  constexpr std::size_t kSeedBatch = 256;
-  uint32_t degs[kSeedBatch];
-  for (uint32_t base = 0; base < num_vertices;
-       base += static_cast<uint32_t>(kSeedBatch)) {
-    // One tick per unpacked seed batch keeps the packed scan's word-at-a-
-    // time cadence; 256 ops of slack is well inside the check interval.
-    if (cancel != nullptr && cancel->Tick()) return;
-    const std::size_t n =
-        std::min<std::size_t>(kSeedBatch, num_vertices - base);
-    deg.GetBatch(base, n, degs);
-    for (std::size_t i = 0; i < n; ++i) {
-      const VertexId v = base + static_cast<VertexId>(i);
-      if (alive[v] && degs[i] < threshold(v)) {
-        alive[v] = 0;
-        queue.push_back(v);
-      }
-    }
-  }
-  while (!queue.empty()) {
-    if (cancel != nullptr && cancel->Stopped()) return;
-    const VertexId v = queue.back();
-    queue.pop_back();
-    on_remove(v);
-    for_each(v, [&](VertexId w) {
-      if (cancel != nullptr) cancel->Tick();
-      if (!alive[w]) return;
-      if (deg.Decrement(w) < threshold(w)) {
-        alive[w] = 0;
-        queue.push_back(w);
-      }
-    });
-  }
 }
 
 /// \brief Lent working storage for `LevelPeeler`: the degree bucket queue

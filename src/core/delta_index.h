@@ -3,11 +3,9 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "abcore/offsets.h"
-#include "common/status.h"
 #include "core/query_scratch.h"
 #include "core/query_stats.h"
 #include "core/subgraph.h"
@@ -18,12 +16,6 @@ namespace abcs {
 
 class DeltaIndex;
 struct BundleAccess;
-
-/// Declared in core/index_io.h; friends of DeltaIndex for serialisation.
-Status SaveDeltaIndex(const DeltaIndex& index, const BipartiteGraph& g,
-                      const std::string& path);
-Status LoadDeltaIndex(const std::string& path, const BipartiteGraph& g,
-                      DeltaIndex* out);
 
 /// \brief The degeneracy-bounded index `I_δ` (paper §III-B, Algorithm 3)
 /// and its optimal community query `Qopt`.
@@ -104,10 +96,6 @@ class DeltaIndex {
   }
 
  private:
-  friend Status SaveDeltaIndex(const DeltaIndex&, const BipartiteGraph&,
-                               const std::string&);
-  friend Status LoadDeltaIndex(const std::string&, const BipartiteGraph&,
-                               DeltaIndex*);
   friend struct BundleAccess;
 
   struct Entry {

@@ -1,53 +1,10 @@
 #include "core/index_io.h"
 
 #include <bit>
-#include <cstring>
-#include <fstream>
 
 #include "common/fnv.h"
 
 namespace abcs {
-
-namespace {
-
-// Format version 2: arena layout (four flat arrays per half). Load-only
-// legacy — see the header; new indices persist as ABCSPAK1 bundles.
-constexpr char kMagic[8] = {'A', 'B', 'C', 'S', 'I', 'D', 'X', '2'};
-
-template <typename T>
-void WritePod(std::ofstream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::ifstream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
-}
-
-template <typename T>
-void WriteArr(std::ofstream& out, const ArenaStorage<T>& v) {
-  WritePod(out, static_cast<uint64_t>(v.size()));
-  if (!v.empty()) {
-    out.write(reinterpret_cast<const char*>(v.data()),
-              static_cast<std::streamsize>(v.size() * sizeof(T)));
-  }
-}
-
-template <typename T>
-bool ReadArr(std::ifstream& in, ArenaStorage<T>* arr, uint64_t sanity_cap) {
-  uint64_t size = 0;
-  if (!ReadPod(in, &size) || size > sanity_cap) return false;
-  std::vector<T>& v = arr->Mutable();
-  v.resize(size);
-  if (size != 0) {
-    in.read(reinterpret_cast<char*>(v.data()),
-            static_cast<std::streamsize>(size * sizeof(T)));
-  }
-  return static_cast<bool>(in);
-}
-
-}  // namespace
 
 uint64_t GraphTopologyChecksum(const BipartiteGraph& g) {
   Fnv1a64 fnv;
@@ -67,82 +24,6 @@ uint64_t GraphWeightChecksum(const BipartiteGraph& g) {
   // of zero or NaN payloads) changes the digest.
   for (const Edge& e : g.Edges()) fnv.Mix(std::bit_cast<uint64_t>(e.w));
   return fnv.h;
-}
-
-Status SaveDeltaIndex(const DeltaIndex& index, const BipartiteGraph& g,
-                      const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-
-  out.write(kMagic, sizeof(kMagic));
-  WritePod(out, index.delta_);
-  WritePod(out, g.NumUpper());
-  WritePod(out, g.NumLower());
-  WritePod(out, g.NumEdges());
-  WritePod(out, GraphTopologyChecksum(g));
-  for (const auto* half : {&index.alpha_half_, &index.beta_half_}) {
-    WriteArr(out, half->table_base);
-    WriteArr(out, half->level_start);
-    WriteArr(out, half->self_offset);
-    WriteArr(out, half->entries);
-  }
-  if (!out) return Status::IOError("write failed: " + path);
-  return Status::OK();
-}
-
-Status LoadDeltaIndex(const std::string& path, const BipartiteGraph& g,
-                      DeltaIndex* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::Corruption(path + ": bad magic / format version");
-  }
-  DeltaIndex index;
-  uint32_t num_upper = 0, num_lower = 0, num_edges = 0;
-  uint64_t checksum = 0;
-  if (!ReadPod(in, &index.delta_) || !ReadPod(in, &num_upper) ||
-      !ReadPod(in, &num_lower) || !ReadPod(in, &num_edges) ||
-      !ReadPod(in, &checksum)) {
-    return Status::Corruption(path + ": truncated header");
-  }
-  if (num_upper != g.NumUpper() || num_lower != g.NumLower() ||
-      num_edges != g.NumEdges() || checksum != GraphTopologyChecksum(g)) {
-    return Status::Corruption(path +
-                              ": index was built for a different graph");
-  }
-
-  // Arena sizes are bounded by Lemma 5: ≤ 2·δ·m entries per half and
-  // (δ+1)·n level-table slots. The caps guard corrupted size fields.
-  const uint64_t entry_cap =
-      2ull * (index.delta_ + 1ull) * (g.NumEdges() + 1ull);
-  const uint64_t table_cap =
-      (index.delta_ + 2ull) * (g.NumVertices() + 1ull);
-  for (auto* half : {&index.alpha_half_, &index.beta_half_}) {
-    if (!ReadArr(in, &half->table_base, table_cap) ||
-        half->table_base.size() != g.NumVertices() + 1ull) {
-      return Status::Corruption(path + ": bad vertex table");
-    }
-    if (!ReadArr(in, &half->level_start, table_cap) ||
-        !ReadArr(in, &half->self_offset, table_cap) ||
-        !ReadArr(in, &half->entries, entry_cap)) {
-      return Status::Corruption(path + ": truncated payload");
-    }
-    // Structural sanity so queries cannot index out of bounds.
-    if (half->table_base.back() != half->level_start.size()) {
-      return Status::Corruption(path + ": inconsistent level table");
-    }
-    for (uint32_t ls : half->level_start) {
-      if (ls > half->entries.size()) {
-        return Status::Corruption(path + ": level bound out of range");
-      }
-    }
-  }
-  index.graph_ = &g;
-  *out = std::move(index);
-  return Status::OK();
 }
 
 }  // namespace abcs

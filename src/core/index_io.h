@@ -1,44 +1,16 @@
 #ifndef ABCS_CORE_INDEX_IO_H_
 #define ABCS_CORE_INDEX_IO_H_
 
-#include <string>
+#include <cstdint>
 
-#include "common/status.h"
-#include "core/delta_index.h"
 #include "graph/bipartite_graph.h"
 
 namespace abcs {
 
-/// \brief Legacy binary serialisation of the degeneracy-bounded index
-/// `I_δ` alone (the `ABCSIDX` format family).
-///
-/// DEPRECATED, kept load-only for existing saved indices: new code should
-/// persist the self-contained `ABCSPAK1` bundle (io/index_bundle.h), which
-/// carries the graph, the offset decomposition and both index layers with
-/// per-section checksums, and opens zero-copy via mmap. The CLI's
-/// `--index` flag auto-detects either format by magic.
-///
-/// The legacy format is a flat little-endian dump:
-///
-///     "ABCSIDX2" | delta | nU | nL | m | checksum | α-half | β-half
-///
-/// The file embeds the graph's shape (vertex/edge counts) and a topology
-/// checksum; `LoadDeltaIndex` fails with `Corruption` when the file does
-/// not match the supplied graph, so a stale index cannot silently serve
-/// wrong communities. (It has no weight digest — one of the reasons the
-/// bundle format replaced it.)
-///
-/// `SaveDeltaIndex` remains only so tests can pin the legacy load path
-/// and tools can produce fixtures for downgrades; do not use it in new
-/// serving code.
-Status SaveDeltaIndex(const DeltaIndex& index, const BipartiteGraph& g,
-                      const std::string& path);
-
-/// Loads an index previously written by SaveDeltaIndex; `g` must be the
-/// same graph the index was built from (checked via counts + checksum).
-/// The graph must outlive the returned index.
-Status LoadDeltaIndex(const std::string& path, const BipartiteGraph& g,
-                      DeltaIndex* out);
+// Graph fingerprints that tie a persisted index to the graph it was built
+// from. The `ABCSPAK2` bundle header (io/index_bundle.h) stores both, and
+// `VerifyBundleMatchesGraph` compares them against a supplied edge list so
+// a stale index fails loudly instead of serving wrong communities.
 
 /// Topology checksum used for index/graph matching (FNV-1a over the edge
 /// list; weights are excluded because I_δ stores none).

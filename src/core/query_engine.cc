@@ -19,13 +19,12 @@ void FillPercentiles(std::vector<double>& latencies, double* p50, double* p99) {
 }
 
 // Runs `body(t, i)` for every i in [0, n), exactly once each, across
-// `num_threads` workers. Work-stealing redistributes the indices queued
-// behind a slow query; round-robin keeps the legacy static stripe. Which
-// worker executes an index never affects the result — `body` writes only
-// slot i — so both modes produce bit-identical batches.
+// `num_threads` work-stealing workers, which redistribute the indices
+// queued behind a slow query. Which worker executes an index never affects
+// the result — `body` writes only slot i — so batches are bit-identical
+// for every thread count.
 template <typename Body>
-void DispatchLoop(std::size_t n, unsigned num_threads,
-                  abcs::Dispatch dispatch, Body&& body) {
+void DispatchLoop(std::size_t n, unsigned num_threads, Body&& body) {
   if (num_threads <= 1) {
     for (std::size_t i = 0; i < n; ++i) body(0u, i);
     return;
@@ -36,21 +35,13 @@ void DispatchLoop(std::size_t n, unsigned num_threads,
   // join below. The packed ranges hold 32-bit bounds; a batch large
   // enough to overflow them (> 4G requests) cannot be materialised anyway.
   abcs::WorkStealingRanges ranges(n, num_threads);
-  if (dispatch == abcs::Dispatch::kRoundRobin) {
-    for (unsigned t = 0; t < num_threads; ++t) {
-      threads.emplace_back([&, t] {
-        for (std::size_t i = t; i < n; i += num_threads) body(t, i);
-      });
-    }
-  } else {
-    for (unsigned t = 0; t < num_threads; ++t) {
-      threads.emplace_back([&, t] {
-        for (std::size_t i = ranges.Next(t);
-             i != abcs::WorkStealingRanges::kDone; i = ranges.Next(t)) {
-          body(t, i);
-        }
-      });
-    }
+  for (unsigned t = 0; t < num_threads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = ranges.Next(t);
+           i != abcs::WorkStealingRanges::kDone; i = ranges.Next(t)) {
+        body(t, i);
+      }
+    });
   }
   for (std::thread& th : threads) th.join();
 }
@@ -58,16 +49,6 @@ void DispatchLoop(std::size_t n, unsigned num_threads,
 }  // namespace
 
 namespace abcs {
-
-const char* DispatchName(Dispatch dispatch) {
-  switch (dispatch) {
-    case Dispatch::kWorkStealing:
-      return "work-steal";
-    case Dispatch::kRoundRobin:
-      return "round-robin";
-  }
-  return "unknown";
-}
 
 const char* QueryMethodName(QueryMethod method) {
   switch (method) {
@@ -116,9 +97,9 @@ BatchResult QueryEngine::RunBatch(std::span<const QueryRequest> requests,
 
   // Each executed index writes only its own outcome slot, so no
   // synchronisation is needed and `outcomes[i]` always matches
-  // `requests[i]` — results are bit-identical for every thread count and
-  // dispatch mode. Worker-local scratch lives in `states[t]`; a slot is
-  // only ever touched by thread t.
+  // `requests[i]` — results are bit-identical for every thread count.
+  // Worker-local scratch lives in `states[t]`; a slot is only ever touched
+  // by thread t.
   struct WorkerState {
     QueryScratch scratch;
     Subgraph out;
@@ -148,7 +129,7 @@ BatchResult QueryEngine::RunBatch(std::span<const QueryRequest> requests,
   };
 
   Timer wall;
-  DispatchLoop(requests.size(), num_threads, options.dispatch, body);
+  DispatchLoop(requests.size(), num_threads, body);
   result.wall_seconds = wall.Seconds();
 
   BatchStats& stats = result.stats;
@@ -240,7 +221,7 @@ ScsBatchResult QueryEngine::RunScsBatch(std::span<const QueryRequest> requests,
   };
 
   Timer wall;
-  DispatchLoop(requests.size(), num_threads, options.dispatch, body);
+  DispatchLoop(requests.size(), num_threads, body);
   result.wall_seconds = wall.Seconds();
 
   ScsBatchStats& stats = result.stats;

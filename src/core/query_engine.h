@@ -23,22 +23,6 @@ enum class QueryMethod { kOnline, kBicore, kDelta };
 /// Returns "online" / "bicore" / "delta".
 const char* QueryMethodName(QueryMethod method);
 
-/// How a batch is split across worker threads.
-///
-///  - `kWorkStealing` (default): workers start with contiguous chunks and
-///    steal half of the largest remaining chunk when theirs drains (see
-///    core/work_steal.h). One slow query no longer stalls every request
-///    queued behind it on the same lane — this is what flattens the
-///    online-method p99 cliff (p50 0.78 ms vs p99 12.8 ms @4 threads in
-///    BENCH_query.baseline.json).
-///  - `kRoundRobin`: the pre-serve static stripe (worker t owns t, t+T,
-///    t+2T, …). Kept as the bench/test baseline for the scheduler
-///    comparison; results are bit-identical either way.
-enum class Dispatch { kWorkStealing, kRoundRobin };
-
-/// Returns "work-steal" / "round-robin".
-const char* DispatchName(Dispatch dispatch);
-
 /// One community retrieval request.
 struct QueryRequest {
   VertexId q = 0;
@@ -73,8 +57,6 @@ struct BatchStats {
 struct BatchOptions {
   /// Worker threads; 0 = hardware concurrency, 1 = serial (default).
   unsigned num_threads = 1;
-  /// Work distribution across the workers (identical results either way).
-  Dispatch dispatch = Dispatch::kWorkStealing;
   /// Retain every community's edge set in `BatchResult::communities`
   /// (costs one allocation per non-empty result; off for throughput runs).
   bool keep_communities = false;
@@ -107,8 +89,6 @@ struct BatchResult {
 struct ScsBatchOptions {
   /// Worker threads; 0 = hardware concurrency, 1 = serial (default).
   unsigned num_threads = 1;
-  /// Work distribution across the workers (identical results either way).
-  Dispatch dispatch = Dispatch::kWorkStealing;
   /// Kernel selection; kAuto lets the planner decide per query.
   ScsAlgo algo = ScsAlgo::kAuto;
   ScsOptions scs;
@@ -172,14 +152,15 @@ struct ScsBatchResult {
 ///
 /// Wraps the three retrieval paths behind one submission API: requests are
 /// distributed over `num_threads` workers through a shared work-stealing
-/// partition (or the legacy round-robin stripe, see `Dispatch`), each
+/// partition (core/work_steal.h: workers start with contiguous chunks and
+/// steal half of the largest remaining chunk when theirs drains, so one
+/// slow query does not stall the requests queued behind it), each
 /// worker owns a `QueryScratch` and a reusable output `Subgraph`, so the
 /// steady state of a batch performs zero heap allocations per query (the
 /// paper's output-sensitive bound with no hidden O(n) clearing). The
 /// indexes are immutable after construction, so concurrent queries need no
 /// locking, and `outcomes[i]` is written by exactly one worker regardless
-/// of who executes it — results are bit-identical for every thread count
-/// and either dispatch mode.
+/// of who executes it — results are bit-identical for every thread count.
 class QueryEngine {
  public:
   /// The engine borrows `g` and the indexes; they must outlive it. The
@@ -196,7 +177,7 @@ class QueryEngine {
   void Query(const QueryRequest& request, QueryScratch& scratch,
              Subgraph* out, QueryStats* stats = nullptr) const;
 
-  /// Runs `requests` round-robin over the configured worker count.
+  /// Runs `requests` over the configured worker count.
   BatchResult RunBatch(std::span<const QueryRequest> requests,
                        const BatchOptions& options = {}) const;
 

@@ -10,10 +10,10 @@ namespace abcs {
 
 /// \brief Lock-free work-stealing partition of the index range [0, n).
 ///
-/// Replaces the old static round-robin split in `QueryEngine` batches,
-/// where one slow query stalled every request striped behind it on the
-/// same worker (the online-method p99 cliff in BENCH_query: p50 0.78 ms
-/// vs p99 12.8 ms at 4 threads). Here every worker starts with one
+/// Splits `QueryEngine` batches so that one slow query does not stall
+/// every request behind it on the same worker (a static stripe showed an
+/// online-method p99 cliff in BENCH_query: p50 0.78 ms vs p99 12.8 ms at
+/// 4 threads). Every worker starts with one
 /// contiguous chunk of the batch; a worker that drains its chunk steals
 /// the upper half of the largest remaining victim chunk, so queued work
 /// behind a long-running query is redistributed instead of waiting.
@@ -24,8 +24,8 @@ namespace abcs {
 /// the same word — linearizable, ABA-free (begin is monotone within a
 /// slot between installs), and clean under ThreadSanitizer. Every index
 /// in [0, n) is returned exactly once across all workers, so batch
-/// results stay bit-identical to the round-robin dispatch for any thread
-/// count: `outcomes[i]` is written by whichever worker executes `i`.
+/// results are bit-identical for any thread count: `outcomes[i]` is
+/// written by whichever worker executes `i`.
 ///
 /// The only non-atomic ordering subtlety: a thief holds the stolen range
 /// "in hand" between detaching it from the victim and installing it into

@@ -283,32 +283,4 @@ Status DecodeU32Section(SectionCodec codec, const std::byte* encoded,
                             std::to_string(static_cast<uint32_t>(codec)));
 }
 
-void PackedU32Array::Assign(const uint32_t* values, std::size_t count) {
-  uint32_t max = 0;
-  for (std::size_t i = 0; i < count; ++i) max = std::max(max, values[i]);
-  width_ = BitWidthFor(max);
-  mask_ = width_ == 32 ? ~uint64_t{0} >> 32 : (uint64_t{1} << width_) - 1;
-  size_ = count;
-  // +1 guard word keeps the straddling Get/Set unconditionalised at the
-  // tail; the guard stays zero.
-  words_.assign((count * width_ + 63) / 64 + 1, 0);
-  for (std::size_t i = 0; i < count; ++i) Set(i, values[i]);
-}
-
-void PackedU32Array::GetBatch(std::size_t first, std::size_t n,
-                              uint32_t* out) const {
-  if (width_ == 0) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = 0;
-    return;
-  }
-  std::size_t bit = first * width_;
-  for (std::size_t i = 0; i < n; ++i, bit += width_) {
-    const std::size_t word = bit >> 6;
-    const uint32_t shift = static_cast<uint32_t>(bit & 63);
-    uint64_t v = words_[word] >> shift;
-    if (shift + width_ > 64) v |= words_[word + 1] << (64 - shift);
-    out[i] = static_cast<uint32_t>(v & mask_);
-  }
-}
-
 }  // namespace abcs

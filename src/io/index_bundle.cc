@@ -20,8 +20,7 @@ namespace abcs {
 
 namespace {
 
-// "ABCSPAK2": the versioned multi-section container, successor of the
-// single-structure "ABCSIDX" dumps. v2 added per-section codec tags and
+// "ABCSPAK2": the versioned multi-section container. v2 added per-section codec tags and
 // encoded/decoded lengths to the TOC; v1 files (all-raw 40-byte records)
 // remain readable on the same verified-mmap fast path. The trailing magic
 // character tracks the header's version field — readers check both agree.
@@ -35,7 +34,7 @@ constexpr uint64_t kAnyCount = ~0ull;
 constexpr std::size_t kMagicBytes = sizeof(kMagicV2);
 
 static_assert(std::endian::native == std::endian::little,
-              "ABCSPAK1 bundles are little-endian; big-endian hosts would "
+              "ABCSPAK bundles are little-endian; big-endian hosts would "
               "need byte-swapping shims");
 
 /// Fixed-size header right after the magic. POD, written verbatim.
@@ -209,14 +208,6 @@ uint64_t BundleChecksum(const void* data, std::size_t size) {
   }
   fnv.Mix(size);  // zero-padded tail ≠ genuinely longer zero run
   return fnv.h;
-}
-
-bool LooksLikeIndexBundle(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  char magic[kMagicBytes] = {};
-  in.read(magic, sizeof(magic));
-  return in && (std::memcmp(magic, kMagicV2, kMagicBytes) == 0 ||
-                std::memcmp(magic, kMagicV1, kMagicBytes) == 0);
 }
 
 const char* BundleCompressionName(BundleCompression level) {

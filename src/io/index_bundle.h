@@ -195,12 +195,6 @@ Status OpenBundleWithFallback(const std::string& path,
 Status VerifyBundleMatchesGraph(const IndexBundle& bundle,
                                 const BipartiteGraph& g);
 
-/// True iff `path` starts with an ABCSPAK magic (v1 or v2) — the format
-/// sniff the CLI's `--index` auto-detection uses to dispatch between the
-/// bundle opener and the legacy ABCSIDX loader. Kept next to the format so
-/// the magic lives in exactly one translation unit.
-bool LooksLikeIndexBundle(const std::string& path);
-
 /// The checksum used for bundle sections and the header/TOC meta record:
 /// FNV-1a over the bytes chunked into little-endian 64-bit words (tail
 /// word zero-padded). Word-wise so verifying a multi-hundred-MB bundle

@@ -22,8 +22,8 @@ namespace abcs::serve {
 /// preserved exactly when no steal happens and approximately under load.
 ///
 /// `kRoundRobin` disables stealing — each worker only ever sees its own
-/// deque, reproducing the head-of-line blocking of the pre-serve
-/// QueryEngine stripe. It exists for the scheduler A/B in
+/// deque, reproducing the head-of-line blocking of a static per-worker
+/// stripe. It exists for the scheduler A/B in
 /// bench_serve_sustained, not for production use.
 ///
 /// Everything is guarded by one mutex: at community-query service rates

@@ -406,7 +406,6 @@ TEST_F(BundleIoTest, V1BundleStillOpensOnTheVerifiedFastPath) {
   BuildAndSave(g);
   const std::string v1 = ConvertV2RawToV1(ReadFileBytes(path_));
   WriteFileBytes(path_, v1);
-  ASSERT_TRUE(LooksLikeIndexBundle(path_));
 
   std::unique_ptr<IndexBundle> bundle;
   ASSERT_TRUE(OpenIndexBundle(path_, &bundle).ok());
@@ -516,9 +515,10 @@ TEST_F(BundleCorruptionTest, BadMagicIsCorruption) {
   bytes_[0] = 'X';
   WriteFileBytes(path_, bytes_);
   ExpectOpenFails(Status::Code::kCorruption);
-  // A legacy ABCSIDX dump is also "not a bundle", reported cleanly.
+  // A dump in the retired single-structure ABCSIDX format is also "not a
+  // bundle", reported cleanly.
   const std::string legacy = ::testing::TempDir() + "/abcs_legacy_probe.idx";
-  ASSERT_TRUE(SaveDeltaIndex(delta_, graph_, legacy).ok());
+  WriteFileBytes(legacy, "ABCSIDX2" + std::string(128, '\x01'));
   std::unique_ptr<IndexBundle> bundle;
   EXPECT_EQ(OpenIndexBundle(legacy, &bundle).code(),
             Status::Code::kCorruption);

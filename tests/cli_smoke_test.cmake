@@ -1,6 +1,7 @@
 # ctest-driven round trip over the abcs CLI:
-#   gen → stats → index (ABCSPAK1 bundle) → query (graph+--index and
-#   self-contained --bundle) → scs (all algorithms) → profile → batches.
+#   gen → stats → index (ABCSPAK2 bundle) → query (graph+--index and
+#   self-contained --bundle) → scs (all algorithms) → profile → batches,
+#   plus the refusals of malformed arguments and non-bundle --index files.
 # Invoked as:
 #   cmake -DABCS_CLI=<path> -DWORK_DIR=<dir> -P cli_smoke_test.cmake
 
@@ -33,12 +34,54 @@ endfunction()
 run_abcs("wrote .*: [0-9]+ edges" gen BS ${GRAPH})
 run_abcs("delta=[1-9]" stats ${GRAPH})
 run_abcs("built I_delta .*saved to" index ${GRAPH} ${INDEX})
+
+# Malformed arguments are refused, never wrapped or folded into a valid
+# value: 4294967297 would narrow to 1, a u-side id past the upper layer
+# would land on a lower vertex, and `--side x` would silently mean u.
+function(expect_abcs_failure expect_rc expect_err)
+  list(JOIN ARGN " " pretty)
+  execute_process(
+    COMMAND ${ABCS_CLI} ${ARGN}
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL expect_rc OR NOT err MATCHES "${expect_err}")
+    message(FATAL_ERROR "abcs ${pretty}: expected rc=${expect_rc} and stderr "
+      "matching '${expect_err}', got rc=${rc}:\n${out}${err}")
+  endif()
+  message(STATUS "ok: abcs ${pretty} refused")
+endfunction()
+execute_process(COMMAND ${ABCS_CLI} stats ${GRAPH} OUTPUT_VARIABLE stats_out)
+string(REGEX MATCH "\\|U\\|=([0-9]+)" _ "${stats_out}")
+set(NUM_UPPER ${CMAKE_MATCH_1})
+foreach(cmd query scs profile)
+  expect_abcs_failure(2 "usage:" ${cmd} ${GRAPH} 4294967297 2 2)
+  expect_abcs_failure(2 "usage:" ${cmd} ${GRAPH} 1 4294967298 2)
+  expect_abcs_failure(2 "usage:" ${cmd} ${GRAPH} 1 2 2x)
+  expect_abcs_failure(2 "usage:" ${cmd} ${GRAPH} 1 2 2 --side x)
+  expect_abcs_failure(1 "query vertex out of range"
+    ${cmd} ${GRAPH} ${NUM_UPPER} 2 2)
+endforeach()
+# The client refuses before it connects (port 1 has no server; a parse
+# that let these through would fail later, on the connect, with rc=1).
+expect_abcs_failure(2 "usage:" client --port 1 4294967297 2 2)
+expect_abcs_failure(2 "usage:" client --port 1 1 2 2 --side x)
+expect_abcs_failure(2 "usage:" client --port 1 --remove 4294967297 0)
+expect_abcs_failure(2 "usage:" client --port 1 --insert 1 4294967296 1.5)
+expect_abcs_failure(2 "usage:" client --port 1 --reweight 1 2 heavy)
+
+# --index opens bundles only; anything else (here a file in the retired
+# single-structure ABCSIDX format) is refused with the rebuild command.
+string(REPEAT "legacy payload " 16 legacy_payload)
+file(WRITE ${WORK_DIR}/legacy.idx "ABCSIDX2${legacy_payload}")
+expect_abcs_failure(1 "not an ABCSPAK bundle.*--index takes a bundle.*abcs index"
+  query ${GRAPH} 1 2 2 --index ${WORK_DIR}/legacy.idx)
 run_abcs("community of u1" query ${GRAPH} 1 2 2 --index ${INDEX})
 run_abcs("" query ${GRAPH} 0 1 1 --index ${INDEX} --side l)
 
-# Persistence round trip: the index file written above is an ABCSPAK1
-# bundle; the same query served via graph+--index (auto-detected bundle,
-# verified against the graph) and via the self-contained --bundle form must
+# Persistence round trip: the index file written above is an ABCSPAK2
+# bundle; the same query served via graph+--index (verified against the
+# graph) and via the self-contained --bundle form must
 # print byte-identical communities (only the timing figure may differ).
 function(capture_query out_var)
   execute_process(

@@ -217,7 +217,7 @@ TEST(ScsEngineTest, BatchesDeterministicAcrossThreadCountsAndMatchSerial) {
       EXPECT_EQ(serial.communities[i].edges, direct.community.edges) << i;
     }
 
-    for (const unsigned threads : {2u, 5u}) {
+    for (const unsigned threads : {2u, 3u, 4u, 5u, 8u}) {
       options.num_threads = threads;
       const ScsBatchResult mt = engine.RunScsBatch(requests, options);
       ASSERT_EQ(mt.outcomes.size(), serial.outcomes.size());

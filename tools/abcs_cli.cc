@@ -3,7 +3,7 @@
 //
 // Usage:
 //   abcs stats  <graph>                       print dataset statistics
-//   abcs index  <graph> [--out] <bundle-out>  build and persist the ABCSPAK1
+//   abcs index  <graph> [--out] <bundle-out>  build and persist the ABCSPAK2
 //                                             bundle: graph + offset
 //                                             decomposition + I_δ + I_v
 //                                             (alias: build; per-phase
@@ -67,11 +67,14 @@
 // (lines starting with % or # ignored). <q> is a layer-local id; --side
 // selects the layer (default: u).
 //
-// --index FILE auto-detects the format by magic: an ABCSPAK1 bundle is
-// opened zero-copy and cross-checked against the supplied graph (topology
-// checksum AND weight digest, so stale significances are rejected); a
-// legacy ABCSIDX dump loads through the deprecated load-only path. scs and
-// profile accept --bundle too.
+// --index FILE takes a bundle written by `abcs index` (ABCSPAK2, or an
+// older ABCSPAK1): it is opened zero-copy and cross-checked against the
+// supplied graph (topology checksum AND weight digest, so stale
+// significances are rejected). Any other file is refused with a hint to
+// rebuild it from the graph. scs and profile accept --bundle too.
+//
+// Every numeric argument must parse whole and fit in 32 bits, and --side
+// takes exactly `u` or `l`: a typo is a usage error, never a wrapped id.
 //
 // A batch file has one query per line: `q alpha beta [u|l]` (layer-local
 // q; the trailing letter overrides the batch-wide --side; % and # comment
@@ -79,6 +82,7 @@
 // are deterministic for any --threads value; timing goes to stderr.
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -87,6 +91,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -96,7 +101,6 @@
 #include "common/timer.h"
 #include "core/bicore_index.h"
 #include "core/delta_index.h"
-#include "core/index_io.h"
 #include "core/query_engine.h"
 #include "core/scs_auto.h"
 #include "core/scs_baseline.h"
@@ -156,10 +160,107 @@ int Fail(const abcs::Status& st) {
   return 1;
 }
 
+// The one parser for every numeric argument and batch field: the whole
+// string must be a decimal u32 (no sign, no blanks, no trailing text), so
+// an out-of-range value is rejected instead of wrapping into a valid one.
+bool ParseU32(const std::string& text, uint32_t* out) {
+  const char* end = text.data() + text.size();
+  uint32_t value = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || text.empty()) return false;
+  *out = value;
+  return true;
+}
+
+bool ParseDouble(const std::string& text, double* out) {
+  const char* end = text.data() + text.size();
+  double value = 0.0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || text.empty()) return false;
+  *out = value;
+  return true;
+}
+
+// `u` or `l`, nothing else.
+bool ParseSide(const std::string& text, bool* lower) {
+  if (text != "u" && text != "l") return false;
+  *lower = text == "l";
+  return true;
+}
+
+// Maps a layer-local id to the unified vertex id, range-checked against
+// its own layer first so no id can wrap or spill into the other layer.
+bool ResolveVertex(const abcs::BipartiteGraph& g, bool lower, uint32_t local,
+                   abcs::VertexId* q) {
+  if (local >= (lower ? g.NumLower() : g.NumUpper())) return false;
+  *q = lower ? g.NumUpper() + local : local;
+  return true;
+}
+
+/// One `q alpha beta [u|l]` batch line; q stays layer-local.
+struct BatchLine {
+  std::size_t lineno = 0;
+  uint32_t q = 0, alpha = 0, beta = 0;
+  bool lower = false;
+};
+
+// Reads the batch file shared by `abcs query --batch` and `abcs client
+// --batch`: one query per line, the trailing letter overriding
+// `default_lower`; blank lines and % / # comment lines are skipped.
+abcs::Status ReadBatchFile(const std::string& path, bool default_lower,
+                           std::vector<BatchLine>* out) {
+  std::ifstream in(path);
+  if (!in) return abcs::Status::NotFound("cannot open batch file " + path);
+  std::string line;
+  std::size_t lineno = 0;
+  while (std::getline(in, line)) {
+    ++lineno;
+    std::istringstream fields(line);
+    std::vector<std::string> f;
+    for (std::string token; fields >> token;) f.push_back(token);
+    if (f.empty() || f[0][0] == '#' || f[0][0] == '%') continue;
+    BatchLine b;
+    b.lineno = lineno;
+    b.lower = default_lower;
+    if ((f.size() != 3 && f.size() != 4) || !ParseU32(f[0], &b.q) ||
+        !ParseU32(f[1], &b.alpha) || !ParseU32(f[2], &b.beta) ||
+        b.alpha == 0 || b.beta == 0 ||
+        (f.size() == 4 && !ParseSide(f[3], &b.lower))) {
+      return abcs::Status::InvalidArgument(
+          path + ":" + std::to_string(lineno) + ": expected `q alpha beta " +
+          "[u|l]`, got `" + line + "`");
+    }
+    out->push_back(b);
+  }
+  return abcs::Status::OK();
+}
+
+// The head every per-query answer line starts with: index, layer-local
+// vertex and (α,β).
+void PrintAnswerHead(std::size_t i, bool lower, uint32_t q, uint32_t alpha,
+                     uint32_t beta) {
+  std::printf("%zu %s%u (%u,%u) ", i, lower ? "l" : "u", q, alpha, beta);
+}
+
+// One SCS answer line, printed alike by the offline batch runner and the
+// client, so both commands emit the same bytes for the same answers.
+void PrintScsAnswer(std::size_t i, bool lower, uint32_t q, uint32_t alpha,
+                    uint32_t beta, bool found, uint32_t community_edges,
+                    uint32_t result_edges, double significance,
+                    const char* kernel) {
+  PrintAnswerHead(i, lower, q, alpha, beta);
+  if (found) {
+    std::printf("|C|=%u |R|=%u f=%g kernel=%s\n", community_edges,
+                result_edges, significance, kernel);
+  } else {
+    std::printf("|C|=%u none\n", community_edges);
+  }
+}
+
 struct QueryArgs {
   std::string graph_path;
   std::string bundle_path;  ///< --bundle: self-contained, no graph file
-  abcs::VertexId q = 0;
+  uint32_t q = 0;  ///< layer-local; see lower_side
   uint32_t alpha = 0, beta = 0;
   std::string index_path;
   bool lower_side = false;
@@ -182,19 +283,16 @@ bool ParseQueryArgs(int argc, char** argv, QueryArgs* args) {
     } else if (std::strcmp(argv[i], "--bundle") == 0 && i + 1 < argc) {
       args->bundle_path = argv[++i];
     } else if (std::strcmp(argv[i], "--side") == 0 && i + 1 < argc) {
-      args->lower_side = (argv[++i][0] == 'l');
+      if (!ParseSide(argv[++i], &args->lower_side)) return false;
     } else if (std::strcmp(argv[i], "--algo") == 0 && i + 1 < argc) {
       args->algo = argv[++i];
       args->algo_set = true;
     } else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc) {
       args->batch_path = argv[++i];
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      char* end = nullptr;
-      const long n = std::strtol(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || n < 0 || n > 1024) {
-        return false;  // 0 = hardware concurrency
-      }
-      args->num_threads = static_cast<unsigned>(n);
+      uint32_t n = 0;  // 0 = hardware concurrency
+      if (!ParseU32(argv[++i], &n) || n > 1024) return false;
+      args->num_threads = n;
       args->batch_only_flags = true;
     } else if (std::strcmp(argv[i], "--method") == 0 && i + 1 < argc) {
       args->method = argv[++i];
@@ -213,12 +311,11 @@ bool ParseQueryArgs(int argc, char** argv, QueryArgs* args) {
   if (pos.size() != expect) return false;
   std::size_t k = 0;
   if (args->bundle_path.empty()) args->graph_path = pos[k++];
-  if (args->batch_path.empty()) {
-    args->q = static_cast<abcs::VertexId>(std::atol(pos[k]));
-    args->alpha = static_cast<uint32_t>(std::atol(pos[k + 1]));
-    args->beta = static_cast<uint32_t>(std::atol(pos[k + 2]));
-  }
   if (!args->batch_path.empty()) return true;
+  if (!ParseU32(pos[k], &args->q) || !ParseU32(pos[k + 1], &args->alpha) ||
+      !ParseU32(pos[k + 2], &args->beta)) {
+    return false;
+  }
   // --threads/--method only mean something in batch mode; rejecting them
   // here keeps "asked for a method" distinguishable from "served by it".
   if (args->batch_only_flags) return false;
@@ -227,8 +324,7 @@ bool ParseQueryArgs(int argc, char** argv, QueryArgs* args) {
 
 /// What a query-like command operates on: the graph (edge-list file or the
 /// one embedded in an opened bundle) plus the bundle, when one backs the
-/// session — either via --bundle or via an --index file that sniffed as
-/// ABCSPAK1.
+/// session — either via --bundle or via an --index file.
 struct Session {
   abcs::BipartiteGraph graph_storage;
   std::unique_ptr<abcs::IndexBundle> bundle;
@@ -255,33 +351,51 @@ abcs::Status LoadSession(const QueryArgs& args, Session* s) {
   return abcs::Status::OK();
 }
 
-/// Resolves the I_δ that serves this session: the bundle's (zero-copy), a
-/// loaded --index file (bundle or legacy dump, by magic), or a fresh
-/// build. An --index bundle is cross-checked against the supplied graph —
-/// topology checksum and weight digest — so a stale file fails loudly.
+/// Opens the --index bundle behind a graph-backed session and
+/// cross-checks it against that graph — topology checksum and weight
+/// digest — so a stale file fails loudly. A file that is not a readable
+/// bundle (an old ABCSIDX dump, say) is refused with the way out: the
+/// graph is at hand, so `abcs index` rebuilds the bundle from it.
+abcs::Status OpenIndexFile(const QueryArgs& args, Session* s) {
+  const abcs::Status st = abcs::OpenIndexBundle(args.index_path, &s->bundle);
+  if (st.code() == abcs::Status::Code::kCorruption) {
+    return abcs::Status::Corruption(
+        st.message() + "; --index takes a bundle, rebuild it with `abcs " +
+        "index " + args.graph_path + " " + args.index_path + "`");
+  }
+  ABCS_RETURN_NOT_OK(st);
+  return abcs::VerifyBundleMatchesGraph(*s->bundle, *s->graph);
+}
+
+/// Resolves the I_δ that serves this session: the bundle's (zero-copy),
+/// the --index bundle's, or a fresh build.
 abcs::Status GetIndex(const QueryArgs& args, Session* s,
                       abcs::DeltaIndex* owned,
                       const abcs::DeltaIndex** index) {
+  if (s->bundle == nullptr && !args.index_path.empty()) {
+    ABCS_RETURN_NOT_OK(OpenIndexFile(args, s));
+  }
   if (s->bundle != nullptr) {
     *index = &s->bundle->delta_index();
-    return abcs::Status::OK();
-  }
-  if (!args.index_path.empty()) {
-    if (abcs::LooksLikeIndexBundle(args.index_path)) {
-      ABCS_RETURN_NOT_OK(abcs::OpenIndexBundle(args.index_path, &s->bundle));
-      ABCS_RETURN_NOT_OK(
-          abcs::VerifyBundleMatchesGraph(*s->bundle, *s->graph));
-      *index = &s->bundle->delta_index();
-      return abcs::Status::OK();
-    }
-    ABCS_RETURN_NOT_OK(abcs::LoadDeltaIndex(args.index_path, *s->graph,
-                                            owned));
-    *index = owned;
     return abcs::Status::OK();
   }
   *owned = abcs::DeltaIndex::Build(*s->graph);
   *index = owned;
   return abcs::Status::OK();
+}
+
+/// The common prologue of the single-query commands (query, scs,
+/// profile): load the session, resolve the layer-local query vertex, and
+/// resolve the I_δ that serves it.
+abcs::Status OpenSingleQuery(const QueryArgs& args, Session* s,
+                             abcs::DeltaIndex* owned,
+                             const abcs::DeltaIndex** index,
+                             abcs::VertexId* q) {
+  ABCS_RETURN_NOT_OK(LoadSession(args, s));
+  if (!ResolveVertex(*s->graph, args.lower_side, args.q, q)) {
+    return abcs::Status::InvalidArgument("query vertex out of range");
+  }
+  return GetIndex(args, s, owned, index);
 }
 
 void PrintSubgraph(const abcs::BipartiteGraph& g, const abcs::Subgraph& sub) {
@@ -389,47 +503,20 @@ int CmdInspect(const std::string& bundle_path) {
   return 0;
 }
 
-// Parses `q alpha beta [u|l]` lines (layer-local q) into unified-id
-// requests; default_lower applies when a line has no side letter.
+// Reads a batch file into unified-id requests; every q is range-checked
+// against its own layer.
 abcs::Status ParseBatchFile(const std::string& path,
                             const abcs::BipartiteGraph& g, bool default_lower,
                             std::vector<abcs::QueryRequest>* out) {
-  std::ifstream in(path);
-  if (!in) return abcs::Status::NotFound("cannot open batch file " + path);
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const std::size_t first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#' ||
-        line[first] == '%') {
-      continue;
-    }
-    unsigned long id = 0, alpha = 0, beta = 0;
-    char side = default_lower ? 'l' : 'u';
-    char junk[2];
-    const int got = std::sscanf(line.c_str(), "%lu %lu %lu %c %1s", &id,
-                                &alpha, &beta, &side, junk);
-    if (got < 3 || got > 4 || alpha == 0 || beta == 0 ||
-        alpha > 0xffffffffUL || beta > 0xffffffffUL ||
-        (side != 'u' && side != 'l')) {
+  std::vector<BatchLine> lines;
+  ABCS_RETURN_NOT_OK(ReadBatchFile(path, default_lower, &lines));
+  for (const BatchLine& b : lines) {
+    abcs::VertexId q = 0;
+    if (!ResolveVertex(g, b.lower, b.q, &q)) {
       return abcs::Status::InvalidArgument(
-          path + ":" + std::to_string(lineno) + ": expected `q alpha beta " +
-          "[u|l]`, got `" + line + "`");
+          path + ":" + std::to_string(b.lineno) + ": vertex out of range");
     }
-    // Range-check before narrowing so a 64-bit id cannot wrap into a
-    // valid vertex.
-    const unsigned long layer_size =
-        side == 'l' ? g.NumLower() : g.NumUpper();
-    if (id >= layer_size) {
-      return abcs::Status::InvalidArgument(
-          path + ":" + std::to_string(lineno) + ": vertex out of range");
-    }
-    const abcs::VertexId q = side == 'l'
-                                 ? g.NumUpper() + static_cast<uint32_t>(id)
-                                 : static_cast<uint32_t>(id);
-    out->push_back(abcs::QueryRequest{q, static_cast<uint32_t>(alpha),
-                                      static_cast<uint32_t>(beta)});
+    out->push_back(abcs::QueryRequest{q, b.alpha, b.beta});
   }
   return abcs::Status::OK();
 }
@@ -459,16 +546,9 @@ int RunScsBatchQueries(const QueryArgs& args, Session* session,
     const abcs::QueryRequest& r = requests[i];
     const abcs::ScsOutcome& o = batch.outcomes[i];
     const bool lower = !g.IsUpper(r.q);
-    if (o.found) {
-      std::printf("%zu %s%u (%u,%u) |C|=%u |R|=%u f=%g kernel=%s\n", i,
-                  lower ? "l" : "u", lower ? r.q - g.NumUpper() : r.q,
-                  r.alpha, r.beta, o.community_edges, o.result_edges,
-                  o.significance, abcs::ScsAlgoName(o.algo_used));
-    } else {
-      std::printf("%zu %s%u (%u,%u) |C|=%u none\n", i, lower ? "l" : "u",
-                  lower ? r.q - g.NumUpper() : r.q, r.alpha, r.beta,
-                  o.community_edges);
-    }
+    PrintScsAnswer(i, lower, lower ? r.q - g.NumUpper() : r.q, r.alpha,
+                   r.beta, o.found, o.community_edges, o.result_edges,
+                   o.significance, abcs::ScsAlgoName(o.algo_used));
   }
   const abcs::ScsBatchStats& s = batch.stats;
   std::printf("# found=%llu total_C=%llu total_R=%llu\n",
@@ -539,20 +619,16 @@ int CmdQueryBatch(const QueryArgs& args) {
     st = GetIndex(args, &session, &owned_delta, &delta);
     if (!st.ok()) return Fail(st);
   } else {
-    // A bundle carries I_v too, so bicore batches skip the rebuild; a
-    // legacy --index dump only holds I_δ, and the online method uses no
-    // index at all — silently ignoring --index in either case would hide
-    // a rebuild (or a no-op) behind an apparently-used index file.
+    // A bundle carries I_v too, so bicore batches skip the rebuild; the
+    // online method uses no index at all — silently ignoring --index there
+    // would hide a no-op behind an apparently-used index file.
     if (!args.index_path.empty()) {
-      if (method != abcs::QueryMethod::kBicore ||
-          !abcs::LooksLikeIndexBundle(args.index_path)) {
+      if (method != abcs::QueryMethod::kBicore) {
         return Fail(abcs::Status::InvalidArgument(
-            "--index applies to --method delta, or --method bicore with a "
-            "bundle; --method online uses no index"));
+            "--index applies to --method delta or bicore; --method online "
+            "uses no index"));
       }
-      st = abcs::OpenIndexBundle(args.index_path, &session.bundle);
-      if (!st.ok()) return Fail(st);
-      st = abcs::VerifyBundleMatchesGraph(*session.bundle, g);
+      st = OpenIndexFile(args, &session);
       if (!st.ok()) return Fail(st);
     }
     if (method == abcs::QueryMethod::kBicore) {
@@ -578,9 +654,9 @@ int CmdQueryBatch(const QueryArgs& args) {
     const abcs::QueryRequest& r = requests[i];
     const abcs::QueryOutcome& o = batch.outcomes[i];
     const bool lower = !g.IsUpper(r.q);
-    std::printf("%zu %s%u (%u,%u) |E|=%u touched=%llu\n", i,
-                lower ? "l" : "u", lower ? r.q - g.NumUpper() : r.q, r.alpha,
-                r.beta, o.num_edges,
+    PrintAnswerHead(i, lower, lower ? r.q - g.NumUpper() : r.q, r.alpha,
+                    r.beta);
+    std::printf("|E|=%u touched=%llu\n", o.num_edges,
                 static_cast<unsigned long long>(o.touched_arcs));
   }
   std::printf("# nonempty=%llu total_edges=%llu touched_arcs=%llu\n",
@@ -598,17 +674,12 @@ int CmdQueryBatch(const QueryArgs& args) {
 int CmdQuery(const QueryArgs& args) {
   if (!args.batch_path.empty()) return CmdQueryBatch(args);
   Session session;
-  abcs::Status st = LoadSession(args, &session);
-  if (!st.ok()) return Fail(st);
-  const abcs::BipartiteGraph& g = *session.graph;
-  const abcs::VertexId q = args.lower_side ? g.NumUpper() + args.q : args.q;
-  if (q >= g.NumVertices()) {
-    return Fail(abcs::Status::InvalidArgument("query vertex out of range"));
-  }
   abcs::DeltaIndex owned;
   const abcs::DeltaIndex* index = nullptr;
-  st = GetIndex(args, &session, &owned, &index);
+  abcs::VertexId q = 0;
+  const abcs::Status st = OpenSingleQuery(args, &session, &owned, &index, &q);
   if (!st.ok()) return Fail(st);
+  const abcs::BipartiteGraph& g = *session.graph;
   abcs::Timer timer;
   const abcs::Subgraph c = index->QueryCommunity(q, args.alpha, args.beta);
   std::printf("# (%u,%u)-community of %s%u in %.2e s\n", args.alpha,
@@ -620,17 +691,12 @@ int CmdQuery(const QueryArgs& args) {
 
 int CmdScs(const QueryArgs& args) {
   Session session;
-  abcs::Status st = LoadSession(args, &session);
-  if (!st.ok()) return Fail(st);
-  const abcs::BipartiteGraph& g = *session.graph;
-  const abcs::VertexId q = args.lower_side ? g.NumUpper() + args.q : args.q;
-  if (q >= g.NumVertices()) {
-    return Fail(abcs::Status::InvalidArgument("query vertex out of range"));
-  }
   abcs::DeltaIndex owned;
   const abcs::DeltaIndex* index = nullptr;
-  st = GetIndex(args, &session, &owned, &index);
+  abcs::VertexId q = 0;
+  const abcs::Status st = OpenSingleQuery(args, &session, &owned, &index, &q);
   if (!st.ok()) return Fail(st);
+  const abcs::BipartiteGraph& g = *session.graph;
 
   abcs::Timer timer;
   abcs::ScsResult result;
@@ -682,17 +748,12 @@ int CmdScs(const QueryArgs& args) {
 
 int CmdProfile(const QueryArgs& args) {
   Session session;
-  abcs::Status st = LoadSession(args, &session);
-  if (!st.ok()) return Fail(st);
-  const abcs::BipartiteGraph& g = *session.graph;
-  const abcs::VertexId q = args.lower_side ? g.NumUpper() + args.q : args.q;
-  if (q >= g.NumVertices()) {
-    return Fail(abcs::Status::InvalidArgument("query vertex out of range"));
-  }
   abcs::DeltaIndex owned;
   const abcs::DeltaIndex* index = nullptr;
-  st = GetIndex(args, &session, &owned, &index);
+  abcs::VertexId q = 0;
+  const abcs::Status st = OpenSingleQuery(args, &session, &owned, &index, &q);
   if (!st.ok()) return Fail(st);
+  const abcs::BipartiteGraph& g = *session.graph;
   // For `profile`, alpha/beta play the role of grid bounds.
   const abcs::SignificanceProfile profile = abcs::ComputeSignificanceProfile(
       g, *index, q, args.alpha, args.beta);
@@ -752,15 +813,10 @@ struct ServeArgs {
 
 bool ParseServeArgs(int argc, char** argv, ServeArgs* args) {
   std::vector<const char*> pos;
-  auto parse_u32 = [&](int* i, long max, long* out) {
-    if (*i + 1 >= argc) return false;
-    char* end = nullptr;
-    const long n = std::strtol(argv[++*i], &end, 10);
-    if (end == argv[*i] || *end != '\0' || n < 0 || n > max) return false;
-    *out = n;
-    return true;
+  auto parse_u32 = [&](int* i, uint32_t max, uint32_t* out) {
+    return *i + 1 < argc && ParseU32(argv[++*i], out) && *out <= max;
   };
-  long n = 0;
+  uint32_t n = 0;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--bundle") == 0 && i + 1 < argc) {
       args->bundle_path = argv[++i];
@@ -773,45 +829,45 @@ bool ParseServeArgs(int argc, char** argv, ServeArgs* args) {
       args->options.port = static_cast<uint16_t>(n);
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       if (!parse_u32(&i, 1024, &n)) return false;
-      args->options.num_threads = static_cast<unsigned>(n);
+      args->options.num_threads = n;
     } else if (std::strcmp(argv[i], "--max-connections") == 0) {
-      if (!parse_u32(&i, 1 << 20, &n) || n == 0) return false;
-      args->options.max_connections = static_cast<unsigned>(n);
+      if (!parse_u32(&i, 1u << 20, &n) || n == 0) return false;
+      args->options.max_connections = n;
     } else if (std::strcmp(argv[i], "--max-queue") == 0) {
-      if (!parse_u32(&i, 1 << 24, &n) || n == 0) return false;
+      if (!parse_u32(&i, 1u << 24, &n) || n == 0) return false;
       args->options.max_queue = static_cast<std::size_t>(n);
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0) {
-      if (!parse_u32(&i, 1L << 30, &n)) return false;
-      args->options.default_deadline_ms = static_cast<uint32_t>(n);
+      if (!parse_u32(&i, 1u << 30, &n)) return false;
+      args->options.default_deadline_ms = n;
     } else if (std::strcmp(argv[i], "--no-memo") == 0) {
       args->options.enable_memo = false;
     } else if (std::strcmp(argv[i], "--enable-updates") == 0) {
       args->options.enable_updates = true;
     } else if (std::strcmp(argv[i], "--update-queue") == 0) {
-      if (!parse_u32(&i, 1 << 24, &n) || n == 0) return false;
+      if (!parse_u32(&i, 1u << 24, &n) || n == 0) return false;
       args->options.update_queue = static_cast<std::size_t>(n);
     } else if (std::strcmp(argv[i], "--compact-path") == 0 && i + 1 < argc) {
       args->options.compact_path = argv[++i];
     } else if (std::strcmp(argv[i], "--compact-every") == 0) {
-      if (!parse_u32(&i, 1 << 24, &n)) return false;
-      args->options.compact_every = static_cast<uint32_t>(n);
+      if (!parse_u32(&i, 1u << 24, &n)) return false;
+      args->options.compact_every = n;
     } else if (std::strcmp(argv[i], "--write-deadline-ms") == 0) {
-      if (!parse_u32(&i, 1L << 30, &n)) return false;
-      args->options.write_deadline_ms = static_cast<uint32_t>(n);
+      if (!parse_u32(&i, 1u << 30, &n)) return false;
+      args->options.write_deadline_ms = n;
     } else if (std::strcmp(argv[i], "--max-out-kb") == 0) {
-      if (!parse_u32(&i, 1 << 22, &n) || n == 0) return false;
+      if (!parse_u32(&i, 1u << 22, &n) || n == 0) return false;
       args->options.max_output_buffer = static_cast<std::size_t>(n) << 10;
     } else if (std::strcmp(argv[i], "--watchdog-interval-ms") == 0) {
-      if (!parse_u32(&i, 1L << 30, &n)) return false;
-      args->options.watchdog_interval_ms = static_cast<uint32_t>(n);
+      if (!parse_u32(&i, 1u << 30, &n)) return false;
+      args->options.watchdog_interval_ms = n;
     } else if (std::strcmp(argv[i], "--sndbuf-kb") == 0) {
-      if (!parse_u32(&i, 1 << 20, &n) || n == 0) return false;
-      args->options.so_sndbuf = static_cast<uint32_t>(n) << 10;
+      if (!parse_u32(&i, 1u << 20, &n) || n == 0) return false;
+      args->options.so_sndbuf = n << 10;
     } else if (std::strcmp(argv[i], "--fast-drain") == 0) {
       args->options.fast_drain = true;
     } else if (std::strcmp(argv[i], "--scrub-interval-ms") == 0) {
-      if (!parse_u32(&i, 1L << 30, &n) || n == 0) return false;
-      args->options.scrub_interval_ms = static_cast<uint32_t>(n);
+      if (!parse_u32(&i, 1u << 30, &n) || n == 0) return false;
+      args->options.scrub_interval_ms = n;
     } else if (std::strncmp(argv[i], "--", 2) == 0) {
       return false;
     } else {
@@ -969,69 +1025,67 @@ struct ClientArgs {
 
 bool ParseClientArgs(int argc, char** argv, ClientArgs* args) {
   std::vector<const char*> pos;
+  auto u32 = [&](int* i, uint32_t* out) { return ParseU32(argv[++*i], out); };
+  auto edge = [&](int* i, ClientArgs::UpdateSpec* s) {
+    return u32(i, &s->u) && u32(i, &s->v);
+  };
+  uint32_t n = 0;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--host") == 0 && i + 1 < argc) {
       args->host = argv[++i];
     } else if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
-      args->port = std::atol(argv[++i]);
+      if (!u32(&i, &n) || n < 1 || n > 65535) return false;
+      args->port = n;
     } else if (std::strcmp(argv[i], "--ping") == 0) {
       args->ping = true;
     } else if (std::strcmp(argv[i], "--health") == 0) {
       args->health = true;
     } else if (std::strcmp(argv[i], "--connect-timeout-ms") == 0 &&
                i + 1 < argc) {
-      args->transport.connect_timeout_ms =
-          static_cast<uint32_t>(std::atol(argv[++i]));
+      if (!u32(&i, &args->transport.connect_timeout_ms)) return false;
     } else if (std::strcmp(argv[i], "--io-timeout-ms") == 0 && i + 1 < argc) {
-      args->transport.io_timeout_ms =
-          static_cast<uint32_t>(std::atol(argv[++i]));
+      if (!u32(&i, &args->transport.io_timeout_ms)) return false;
     } else if (std::strcmp(argv[i], "--retries") == 0 && i + 1 < argc) {
-      const long n = std::atol(argv[++i]);
-      if (n < 1) return false;
-      args->transport.max_attempts = static_cast<uint32_t>(n);
+      if (!u32(&i, &n) || n < 1) return false;
+      args->transport.max_attempts = n;
     } else if (std::strcmp(argv[i], "--rcvbuf-kb") == 0 && i + 1 < argc) {
-      const long n = std::atol(argv[++i]);
-      if (n < 1) return false;
-      args->transport.so_rcvbuf = static_cast<uint32_t>(n) << 10;
+      if (!u32(&i, &n) || n < 1 || n > (1u << 20)) return false;
+      args->transport.so_rcvbuf = n << 10;
     } else if (std::strcmp(argv[i], "--flood") == 0 && i + 1 < argc) {
-      const long n = std::atol(argv[++i]);
-      if (n < 1) return false;
-      args->flood = static_cast<unsigned>(n);
+      if (!u32(&i, &n) || n < 1) return false;
+      args->flood = n;
     } else if (std::strcmp(argv[i], "--hold-ms") == 0 && i + 1 < argc) {
-      args->hold_ms = static_cast<uint32_t>(std::atol(argv[++i]));
+      if (!u32(&i, &args->hold_ms)) return false;
     } else if (std::strcmp(argv[i], "--method") == 0 && i + 1 < argc) {
       if (!abcs::serve::ParseWireMethod(argv[++i], &args->method)) {
         return false;
       }
     } else if (std::strcmp(argv[i], "--side") == 0 && i + 1 < argc) {
-      args->lower_side = (argv[++i][0] == 'l');
+      if (!ParseSide(argv[++i], &args->lower_side)) return false;
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0 && i + 1 < argc) {
-      args->deadline_ms = static_cast<uint32_t>(std::atol(argv[++i]));
+      if (!u32(&i, &args->deadline_ms)) return false;
     } else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc) {
       args->batch_path = argv[++i];
     } else if (std::strcmp(argv[i], "--connections") == 0 && i + 1 < argc) {
-      args->connections = static_cast<unsigned>(std::atol(argv[++i]));
+      // One thread per connection: bounded like every other thread count.
+      if (!u32(&i, &n) || n > 1024) return false;
+      args->connections = n;
     } else if (std::strcmp(argv[i], "--duration") == 0 && i + 1 < argc) {
-      args->duration_s = std::atof(argv[++i]);
+      if (!ParseDouble(argv[++i], &args->duration_s)) return false;
     } else if (std::strcmp(argv[i], "--insert") == 0 && i + 3 < argc) {
       ClientArgs::UpdateSpec s;
       s.op = abcs::serve::UpdateOp::kInsertEdge;
-      s.u = static_cast<uint32_t>(std::atol(argv[++i]));
-      s.v = static_cast<uint32_t>(std::atol(argv[++i]));
-      s.weight = std::atof(argv[++i]);
+      if (!edge(&i, &s) || !ParseDouble(argv[++i], &s.weight)) return false;
       args->updates.push_back(s);
     } else if (std::strcmp(argv[i], "--remove") == 0 && i + 2 < argc) {
       ClientArgs::UpdateSpec s;
       s.op = abcs::serve::UpdateOp::kRemoveEdge;
-      s.u = static_cast<uint32_t>(std::atol(argv[++i]));
-      s.v = static_cast<uint32_t>(std::atol(argv[++i]));
+      if (!edge(&i, &s)) return false;
       args->updates.push_back(s);
     } else if (std::strcmp(argv[i], "--reweight") == 0 && i + 3 < argc) {
       ClientArgs::UpdateSpec s;
       s.op = abcs::serve::UpdateOp::kReweightEdge;
-      s.u = static_cast<uint32_t>(std::atol(argv[++i]));
-      s.v = static_cast<uint32_t>(std::atol(argv[++i]));
-      s.weight = std::atof(argv[++i]);
+      if (!edge(&i, &s) || !ParseDouble(argv[++i], &s.weight)) return false;
       args->updates.push_back(s);
     } else if (std::strcmp(argv[i], "--commit") == 0) {
       args->updates.push_back(ClientArgs::UpdateSpec{});  // kCommit
@@ -1065,46 +1119,25 @@ bool ParseClientArgs(int argc, char** argv, ClientArgs* args) {
     return false;
   }
   args->single = true;
-  args->q = static_cast<uint32_t>(std::atol(pos[0]));
-  args->alpha = static_cast<uint32_t>(std::atol(pos[1]));
-  args->beta = static_cast<uint32_t>(std::atol(pos[2]));
-  return args->alpha >= 1 && args->beta >= 1;
+  return ParseU32(pos[0], &args->q) && ParseU32(pos[1], &args->alpha) &&
+         ParseU32(pos[2], &args->beta) && args->alpha >= 1 &&
+         args->beta >= 1;
 }
 
-// Client-side batch parse: same `q alpha beta [u|l]` lines as the CLI's
-// batch runner, but kept layer-local — the server owns the id space and
-// range checks (kInvalidVertex).
+// Client-side batch parse: the same batch file as `abcs query --batch`,
+// but kept layer-local — the server owns the id space and range checks
+// (kInvalidVertex).
 abcs::Status ParseClientBatch(const std::string& path, const ClientArgs& args,
                               std::vector<abcs::serve::WireRequest>* out) {
-  std::ifstream in(path);
-  if (!in) return abcs::Status::NotFound("cannot open batch file " + path);
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const std::size_t first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#' ||
-        line[first] == '%') {
-      continue;
-    }
-    unsigned long id = 0, alpha = 0, beta = 0;
-    char side = args.lower_side ? 'l' : 'u';
-    char junk[2];
-    const int got = std::sscanf(line.c_str(), "%lu %lu %lu %c %1s", &id,
-                                &alpha, &beta, &side, junk);
-    if (got < 3 || got > 4 || alpha == 0 || beta == 0 ||
-        alpha > 0xffffffffUL || beta > 0xffffffffUL ||
-        (side != 'u' && side != 'l')) {
-      return abcs::Status::InvalidArgument(
-          path + ":" + std::to_string(lineno) + ": expected `q alpha beta " +
-          "[u|l]`, got `" + line + "`");
-    }
+  std::vector<BatchLine> lines;
+  ABCS_RETURN_NOT_OK(ReadBatchFile(path, args.lower_side, &lines));
+  for (const BatchLine& b : lines) {
     abcs::serve::WireRequest req;
     req.method = args.method;
-    req.lower_side = (side == 'l');
-    req.q = static_cast<uint32_t>(id);
-    req.alpha = static_cast<uint32_t>(alpha);
-    req.beta = static_cast<uint32_t>(beta);
+    req.lower_side = b.lower;
+    req.q = b.q;
+    req.alpha = b.alpha;
+    req.beta = b.beta;
     req.deadline_ms = args.deadline_ms;
     out->push_back(req);
   }
@@ -1128,26 +1161,18 @@ const char* ClientKernelName(uint8_t kernel) {
 // the touched-arcs counters, which the wire protocol deliberately omits).
 void PrintClientResponse(std::size_t i, const abcs::serve::WireRequest& req,
                          const abcs::serve::WireResponse& resp) {
-  if (resp.status != abcs::serve::WireStatus::kOk) {
-    std::printf("%zu %s%u (%u,%u) error=%s\n", i, req.lower_side ? "l" : "u",
-                req.q, req.alpha, req.beta,
-                abcs::serve::WireStatusName(resp.status));
+  if (abcs::serve::IsScsMethod(req.method) &&
+      resp.status == abcs::serve::WireStatus::kOk) {
+    PrintScsAnswer(i, req.lower_side, req.q, req.alpha, req.beta, resp.found,
+                   resp.num_edges, resp.result_edges, resp.significance,
+                   ClientKernelName(resp.kernel));
     return;
   }
-  if (abcs::serve::IsScsMethod(req.method)) {
-    if (resp.found) {
-      std::printf("%zu %s%u (%u,%u) |C|=%u |R|=%u f=%g kernel=%s\n", i,
-                  req.lower_side ? "l" : "u", req.q, req.alpha, req.beta,
-                  resp.num_edges, resp.result_edges, resp.significance,
-                  ClientKernelName(resp.kernel));
-    } else {
-      std::printf("%zu %s%u (%u,%u) |C|=%u none\n", i,
-                  req.lower_side ? "l" : "u", req.q, req.alpha, req.beta,
-                  resp.num_edges);
-    }
+  PrintAnswerHead(i, req.lower_side, req.q, req.alpha, req.beta);
+  if (resp.status != abcs::serve::WireStatus::kOk) {
+    std::printf("error=%s\n", abcs::serve::WireStatusName(resp.status));
   } else {
-    std::printf("%zu %s%u (%u,%u) |E|=%u\n", i, req.lower_side ? "l" : "u",
-                req.q, req.alpha, req.beta, resp.num_edges);
+    std::printf("|E|=%u\n", resp.num_edges);
   }
 }
 
